@@ -175,8 +175,8 @@ type deployOpts struct {
 
 // runDeploy resolves a deployment through the public API and trains it live:
 // worker and shard counts come from the deployment (one worker per virtual
-// worker, one shard host per cluster node), exactly as hetpipe.Run's live
-// backend deploys them.
+// worker, one shard host per cluster node), exactly as Deployment.Train
+// lays them out.
 func runDeploy(ctx context.Context, o deployOpts) {
 	opts := []hetpipe.Option{
 		hetpipe.WithModel(o.model),

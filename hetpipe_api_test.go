@@ -16,7 +16,6 @@ var allSentinels = map[string]error{
 	"ErrUnknownModel":    ErrUnknownModel,
 	"ErrUnknownCluster":  ErrUnknownCluster,
 	"ErrUnknownPolicy":   ErrUnknownPolicy,
-	"ErrUnknownBackend":  ErrUnknownBackend,
 	"ErrUnknownTask":     ErrUnknownTask,
 	"ErrNoAllocation":    ErrNoAllocation,
 	"ErrUnknownSchedule": ErrUnknownSchedule,
@@ -54,12 +53,6 @@ func TestNewSentinelErrors(t *testing.T) {
 		})
 		covered[c.want] = true
 	}
-	// ErrUnknownBackend is the one sentinel outside New's option surface:
-	// the backend is chosen by Config.Backend on the Run path.
-	if _, err := Run(Config{Model: "vgg19", Policy: "ED", Backend: "warp"}); !errors.Is(err, ErrUnknownBackend) {
-		t.Errorf("Run(bad backend) error = %v, want errors.Is ErrUnknownBackend", err)
-	}
-	covered[ErrUnknownBackend] = true
 	// ErrNoTraffic is reported at Serve time: the deployment resolved fine,
 	// it just has no traffic to serve.
 	dep, err := New(WithModel("vgg19"), WithPolicy("ED"))
@@ -78,10 +71,7 @@ func TestNewSentinelErrors(t *testing.T) {
 }
 
 func TestRunSentinelErrors(t *testing.T) {
-	if _, err := Run(Config{Model: "vgg19", Policy: "ED", Backend: "warp"}); !errors.Is(err, ErrUnknownBackend) {
-		t.Errorf("unknown backend error = %v, want errors.Is ErrUnknownBackend", err)
-	}
-	if _, err := Run(Config{Model: "nope", Policy: "ED"}); !errors.Is(err, ErrUnknownModel) {
+	if _, err := simulate(WithModel("nope"), WithPolicy("ED")); !errors.Is(err, ErrUnknownModel) {
 		t.Errorf("unknown model error = %v, want errors.Is ErrUnknownModel", err)
 	}
 	if _, err := Horovod("nope", "", 32); !errors.Is(err, ErrUnknownModel) {

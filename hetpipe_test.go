@@ -1,12 +1,22 @@
 package hetpipe
 
 import (
+	"context"
 	"strings"
 	"testing"
 )
 
+// simulate resolves a deployment with New and runs Simulate on it.
+func simulate(opts ...Option) (*Result, error) {
+	dep, err := New(opts...)
+	if err != nil {
+		return nil, err
+	}
+	return dep.Simulate(context.Background())
+}
+
 func TestRunEDLocal(t *testing.T) {
-	res, err := Run(Config{Model: "vgg19", Policy: "ED", LocalPlacement: true})
+	res, err := simulate(WithModel("vgg19"), WithPolicy("ED"), WithLocalPlacement(true))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -31,7 +41,7 @@ func TestRunEDLocal(t *testing.T) {
 }
 
 func TestRunWithSpecs(t *testing.T) {
-	res, err := Run(Config{Model: "resnet152", Specs: []string{"VR", "VR"}, Nm: 2})
+	res, err := simulate(WithModel("resnet152"), WithSpecs("VR", "VR"), WithNm(2))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -44,48 +54,50 @@ func TestRunWithSpecs(t *testing.T) {
 }
 
 func TestRunLiveBackend(t *testing.T) {
-	res, err := Run(Config{
-		Model: "vgg19", Policy: "ED", D: 1, Nm: 2,
-		MinibatchesPerVW: 16, Backend: "live",
-	})
+	dep, err := New(WithModel("vgg19"), WithPolicy("ED"), WithD(1), WithNm(2), WithMinibatchesPerVW(16))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Live == nil {
-		t.Fatal("live backend produced no live summary")
+	res, err := dep.Simulate(context.Background())
+	if err != nil {
+		t.Fatal(err)
 	}
-	if want := 4 * 16; res.Live.Minibatches != want {
-		t.Errorf("live minibatches = %d, want %d", res.Live.Minibatches, want)
+	live, err := dep.Train(context.Background())
+	if err != nil {
+		t.Fatal(err)
 	}
-	if res.Live.Pushes != 4*16/2 {
-		t.Errorf("live pushes = %d, want %d (one per wave)", res.Live.Pushes, 4*16/2)
+	if live == nil {
+		t.Fatal("live run produced no live summary")
 	}
-	if res.Live.MaxClockDistance > 2 {
-		t.Errorf("live clock distance %d exceeds D+1=2", res.Live.MaxClockDistance)
+	if want := 4 * 16; live.Minibatches != want {
+		t.Errorf("live minibatches = %d, want %d", live.Minibatches, want)
 	}
-	if res.Live.WallSeconds <= 0 {
+	if live.Pushes != 4*16/2 {
+		t.Errorf("live pushes = %d, want %d (one per wave)", live.Pushes, 4*16/2)
+	}
+	if live.MaxClockDistance > 2 {
+		t.Errorf("live clock distance %d exceeds D+1=2", live.MaxClockDistance)
+	}
+	if live.WallSeconds <= 0 {
 		t.Error("live run reported no wall time")
 	}
-	// The simulated deployment is still fully reported alongside.
+	// The same deployment still simulates in full alongside the live run.
 	if res.Throughput <= 0 || len(res.Plans) != 4 {
-		t.Error("live backend dropped the simulated deployment results")
-	}
-	if _, err := Run(Config{Model: "vgg19", Policy: "ED", Backend: "warp"}); err == nil {
-		t.Error("unknown backend accepted")
+		t.Error("simulation of the live deployment dropped its results")
 	}
 }
 
 func TestRunValidation(t *testing.T) {
-	if _, err := Run(Config{Model: "vgg19"}); err == nil {
+	if _, err := simulate(WithModel("vgg19")); err == nil {
 		t.Error("missing policy and specs accepted")
 	}
-	if _, err := Run(Config{Model: "nope", Policy: "ED"}); err == nil {
+	if _, err := simulate(WithModel("nope"), WithPolicy("ED")); err == nil {
 		t.Error("unknown model accepted")
 	}
-	if _, err := Run(Config{Model: "vgg19", Policy: "XX"}); err == nil {
+	if _, err := simulate(WithModel("vgg19"), WithPolicy("XX")); err == nil {
 		t.Error("unknown policy accepted")
 	}
-	if _, err := Run(Config{Model: "vgg19", Policy: "NP", LocalPlacement: true}); err == nil {
+	if _, err := simulate(WithModel("vgg19"), WithPolicy("NP"), WithLocalPlacement(true)); err == nil {
 		t.Error("local placement under NP accepted")
 	}
 }

@@ -525,6 +525,15 @@ func Run(ctx context.Context, cfg Config) (*Stats, error) {
 	if firstErr != nil {
 		return nil, firstErr
 	}
+	// A TCP shard acknowledges a push before applying it, so a worker can
+	// return while its last wave is still being committed. Let every server
+	// reach the run's final clock before any of its state is read.
+	finalClock := wsp.Params{SLocal: cfg.SLocal, D: cfg.D, Workers: cfg.Workers}.CompleteWaves(cfg.MaxMinibatches)
+	for i, s := range servers {
+		if err := s.WaitClock(finalClock); err != nil {
+			return nil, fmt.Errorf("cluster: server %d: %w", i, err)
+		}
+	}
 	if cfg.CheckpointPath != "" {
 		// Final durable checkpoint at the completed run's clock.
 		saveServers()

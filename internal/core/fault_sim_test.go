@@ -14,12 +14,13 @@ import (
 // TestZeroFaultPlanBitIdentical is the golden guard of the fault subsystem:
 // an empty (or nil) plan must take exactly the fault-free code path, so every
 // field of the result — throughput, per-VW rates, waiting/idle decomposition,
-// counts — is bit-identical to SimulateWSPContext's.
+// counts — is bit-identical to the fault-free run's (nil plan, no
+// checkpoints).
 func TestZeroFaultPlanBitIdentical(t *testing.T) {
 	dep := deploy(t, model.ResNet152(), hw.EqualDistribution, 2, 1, PlacementDefault)
 	mbs := dep.DefaultMinibatches()
 
-	clean, err := dep.SimulateWSPContext(context.Background(), mbs, 4*dep.Nm, nil)
+	clean, err := dep.SimulateWSPFaults(context.Background(), mbs, 4*dep.Nm, nil, nil, 0)
 	if err != nil {
 		t.Fatal(err)
 	}

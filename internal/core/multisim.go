@@ -81,23 +81,17 @@ func (d *Deployment) WithD(dd int) (*Deployment, error) {
 // is clamped below the budget, so a deliberately short simulation still
 // leaves a measurement window).
 func (d *Deployment) SimulateWSP(minibatchesPerVW, warmup int) (*MultiResult, error) {
-	return d.SimulateWSPContext(context.Background(), minibatchesPerVW, warmup, nil)
+	return d.SimulateWSPFaults(context.Background(), minibatchesPerVW, warmup, nil, nil, 0)
 }
 
-// SimulateWSPContext is SimulateWSP with cancellation and streaming
-// observation: the event loop polls ctx between events and aborts with
-// ctx.Err() when it is cancelled or its deadline passes, and ob (when
-// non-nil) receives minibatch completions, push arrivals, pull completions,
-// and global-clock advances as they happen in virtual time. The observer is
-// called synchronously from the single simulation goroutine.
-func (d *Deployment) SimulateWSPContext(ctx context.Context, minibatchesPerVW, warmup int, ob obs.Func) (*MultiResult, error) {
-	return d.SimulateWSPFaults(ctx, minibatchesPerVW, warmup, ob, nil, 0)
-}
-
-// SimulateWSPFaults is SimulateWSPContext under a fault-injection plan
-// (internal/fault). An empty or nil plan takes exactly the fault-free code
-// path, so its results are bit-identical to SimulateWSPContext's. A non-empty
-// plan shapes the timing model deterministically:
+// SimulateWSPFaults is SimulateWSP with cancellation, streaming observation,
+// and a fault-injection plan (internal/fault). The event loop polls ctx
+// between events and aborts with ctx.Err() when it is cancelled or its
+// deadline passes, and ob (when non-nil) receives minibatch completions,
+// push arrivals, pull completions, and global-clock advances as they happen
+// in virtual time; the observer is called synchronously from the single
+// simulation goroutine. An empty or nil plan takes exactly the fault-free
+// code path. A non-empty plan shapes the timing model deterministically:
 //
 //   - a Slowdown multiplies the affected virtual worker's stage-task times
 //     over its minibatch range (via pipeline.Config.TaskTime);
@@ -246,6 +240,28 @@ func (d *Deployment) SimulateWSPFaultsOn(ctx context.Context, eng *sim.Engine, m
 		}
 	}
 
+	// Pull and push transfers complete through two registered handlers whose
+	// payload is the VW and the pulled clock or the pushed wave.
+	pullDone := eng.Register(func(vw, clock int32, _ float64) {
+		w := int(vw)
+		syncs[w].pullGoing = false
+		syncs[w].pullDone = int(clock)
+		res.Pulls++
+		emit(obs.Event{Kind: obs.KindPull, VW: w, Clock: int(clock)})
+		pipes[w].Poke()
+	})
+	pushDone := eng.Register(func(vw, wave int32, _ float64) {
+		w := int(vw)
+		before := coord.GlobalClock()
+		coord.Push(w)
+		after := coord.GlobalClock()
+		emit(obs.Event{Kind: obs.KindPush, VW: w, Wave: int(wave), Clock: after})
+		if after > before {
+			emit(obs.Event{Kind: obs.KindClock, VW: -1, Clock: after})
+			pokeAll()
+		}
+	})
+
 	for w := 0; w < n; w++ {
 		w := w
 		st := syncs[w]
@@ -298,14 +314,7 @@ func (d *Deployment) SimulateWSPFaultsOn(ctx context.Context, eng *sim.Engine, m
 					if !st.pullGoing {
 						st.pullGoing = true
 						linkInject(w)
-						target := coord.GlobalClock()
-						eng.After(sim.Duration(pullT[w]), "pull", func() {
-							st.pullGoing = false
-							st.pullDone = target
-							res.Pulls++
-							emit(obs.Event{Kind: obs.KindPull, VW: w, Clock: target})
-							pipes[w].Poke()
-						})
+						eng.AfterID(sim.Duration(pullT[w]), pullDone, int32(w), int32(coord.GlobalClock()), 0)
 					}
 				}
 				if !st.blocked {
@@ -338,16 +347,7 @@ func (d *Deployment) SimulateWSPFaultsOn(ctx context.Context, eng *sim.Engine, m
 							}
 						}
 					}
-					eng.After(delay, "push", func() {
-						before := coord.GlobalClock()
-						coord.Push(w)
-						after := coord.GlobalClock()
-						emit(obs.Event{Kind: obs.KindPush, VW: w, Wave: wave, Clock: after})
-						if after > before {
-							emit(obs.Event{Kind: obs.KindClock, VW: -1, Clock: after})
-							pokeAll()
-						}
-					})
+					eng.AfterID(delay, pushDone, int32(w), int32(wave), 0)
 				}
 			},
 		}

@@ -15,6 +15,7 @@ import (
 	"hetpipe/internal/partition"
 	"hetpipe/internal/profile"
 	"hetpipe/internal/sched"
+	"hetpipe/internal/sim"
 	"hetpipe/internal/trace"
 )
 
@@ -71,16 +72,23 @@ func digestTrace(tr *trace.Trace) string {
 	return fmt.Sprintf("%016x", h.Sum64())
 }
 
-// goldenCases enumerates the schedule x catalog-cluster grid: every schedule
+// goldenCell is one (catalog cluster, schedule) cell of the golden grid:
+// the partition plan to run, or the planning error recorded in g.
+type goldenCell struct {
+	cl   *hw.Cluster
+	s    sched.Schedule
+	plan *partition.Plan
+	g    scheduleGolden
+}
+
+// goldenGrid enumerates the schedule x catalog-cluster grid: every schedule
 // on every catalog cluster's first feasible virtual worker, VGG-19 at the
-// largest Nm up to 4 the FIFO memory model admits (the shared plan keeps the
-// comparison apples-to-apples across schedules, as in the overlap-vs-fifo
-// test).
-func goldenSoloRuns(t *testing.T) []scheduleGolden {
+// largest Nm up to 4 the schedule's memory model admits.
+func goldenGrid(t *testing.T) []goldenCell {
 	t.Helper()
 	perf := profile.Default()
 	m := model.VGG19()
-	var out []scheduleGolden
+	var out []goldenCell
 	for _, ci := range hw.ClusterCatalog() {
 		cl, err := hw.ClusterByName(ci.Name)
 		if err != nil {
@@ -102,41 +110,55 @@ func goldenSoloRuns(t *testing.T) []scheduleGolden {
 			if err != nil {
 				t.Fatal(err)
 			}
-			g := scheduleGolden{Cluster: ci.Name, Model: "vgg19", Schedule: name}
+			c := goldenCell{cl: cl, s: s, g: scheduleGolden{Cluster: ci.Name, Model: "vgg19", Schedule: name}}
 			nm := partition.NewSched(perf, s).MaxNm(cl, m, vw, 32, 4)
 			if nm == 0 {
-				g.Error = "model does not fit at any Nm"
-				out = append(out, g)
+				c.g.Error = "model does not fit at any Nm"
+				out = append(out, c)
 				continue
 			}
-			g.Nm = nm
-			plan, err := partition.NewSched(perf, s).Partition(cl, m, vw, nm, 32)
+			c.g.Nm = nm
+			c.plan, err = partition.NewSched(perf, s).Partition(cl, m, vw, nm, 32)
 			if err != nil {
-				g.Error = err.Error()
-				out = append(out, g)
-				continue
+				c.g.Error = err.Error()
 			}
-			tr := trace.New(len(plan.Stages))
-			res, err := Run(Config{
-				Plan: plan, Cluster: cl, Perf: perf, Schedule: s,
-				Minibatches: 24, Warmup: 4, Trace: tr,
-			})
-			if err != nil {
-				g.Error = err.Error()
-				out = append(out, g)
-				continue
-			}
-			g.Throughput = ftoa17(res.Throughput)
-			g.Elapsed = ftoa17(float64(res.Elapsed))
-			g.MaxGPUUtil = ftoa17(res.MaxGPUUtil)
-			comps := make([]float64, len(res.Completions))
-			for i, c := range res.Completions {
-				comps[i] = float64(c)
-			}
-			g.Completions = digestFloats(comps...)
-			g.GanttDigest = digestTrace(tr)
-			out = append(out, g)
+			out = append(out, c)
 		}
+	}
+	return out
+}
+
+// goldenSoloRuns runs every cell of the golden grid (24 minibatches, 4
+// warmup, traced) and records its pinned figures.
+func goldenSoloRuns(t *testing.T) []scheduleGolden {
+	t.Helper()
+	var out []scheduleGolden
+	for _, c := range goldenGrid(t) {
+		g := c.g
+		if c.plan == nil {
+			out = append(out, g)
+			continue
+		}
+		tr := trace.New(len(c.plan.Stages))
+		res, err := Run(Config{
+			Plan: c.plan, Cluster: c.cl, Perf: profile.Default(), Schedule: c.s,
+			Minibatches: 24, Warmup: 4, Trace: tr,
+		})
+		if err != nil {
+			g.Error = err.Error()
+			out = append(out, g)
+			continue
+		}
+		g.Throughput = ftoa17(res.Throughput)
+		g.Elapsed = ftoa17(float64(res.Elapsed))
+		g.MaxGPUUtil = ftoa17(res.MaxGPUUtil)
+		comps := make([]float64, len(res.Completions))
+		for i, c := range res.Completions {
+			comps[i] = float64(c)
+		}
+		g.Completions = digestFloats(comps...)
+		g.GanttDigest = digestTrace(tr)
+		out = append(out, g)
 	}
 	return out
 }
@@ -190,5 +212,43 @@ func readGoldenFile(t *testing.T, path string, v interface{}) {
 	}
 	if err := json.Unmarshal(b, v); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestTaskTimeScalesCompletions is a metamorphic property over the golden
+// grid: a TaskTime hook that multiplies every duration by a power of two
+// must scale every completion time by exactly that factor. Scaling by a
+// power of two is exact in floating point, so the check is bit-exact; it
+// fails if any runner schedules a task or a transfer without routing its
+// duration through the hook.
+func TestTaskTimeScalesCompletions(t *testing.T) {
+	cells := 0
+	for _, c := range goldenGrid(t) {
+		if c.plan == nil {
+			continue
+		}
+		base, err := Run(Config{Plan: c.plan, Schedule: c.s, Minibatches: 24, Warmup: 4})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, f := range []float64{2, 0.25, 1024} {
+			cells++
+			scaled, err := Run(Config{
+				Plan: c.plan, Schedule: c.s, Minibatches: 24, Warmup: 4,
+				TaskTime: func(_, _ int, base float64) float64 { return base * f },
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i, want := range base.Completions {
+				if got := scaled.Completions[i]; got != want*sim.Time(f) {
+					t.Fatalf("%s/%s x%g: completion %d = %v, want %v",
+						c.g.Cluster, c.g.Schedule, f, i, got, want*sim.Time(f))
+				}
+			}
+		}
+	}
+	if cells == 0 {
+		t.Fatal("golden grid has no runnable cell")
 	}
 }

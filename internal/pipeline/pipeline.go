@@ -19,16 +19,18 @@
 //     communication/computation overlap would be a further improvement —
 //     i.e. HetPipe does not overlap them).
 //
-// Five further schedules relax those choices: "gpipe" runs fill-drain waves
-// with a sync barrier between fill and drain, "1f1b" runs the strict
-// one-forward-one-backward steady state (holding at most stage-depth
-// activations), "hetpipe-overlap" keeps the FIFO discipline but overlaps
-// receives with computation — the Section 9 improvement — "interleaved" runs
-// Megatron-LM's virtual-stage 1F1B over the plan's k*V chunk placement with
-// overlapped transfers, and "2bw" runs PipeDream-2BW's double-buffered
-// variant of 1F1B (its divergence from 1f1b is the memory model, not the
-// task graph). Every schedule honors the same InjectGate/OnComplete
-// contract, so WSP couples them all.
+// Five further schedules relax those choices, and three runners execute all
+// six: a FIFO runner ("hetpipe-fifo", and "hetpipe-overlap", which keeps the
+// discipline but overlaps receives with computation — the Section 9
+// improvement), a gpipe runner (fill-drain waves with a sync barrier between
+// fill and drain), and a chunked 1F1B runner over the plan's k*V virtual
+// stages ("1f1b", the strict one-forward-one-backward steady state holding at
+// most stage-depth activations; "2bw", PipeDream-2BW, whose divergence from
+// 1f1b is the memory model, not the task graph; and "interleaved",
+// Megatron-LM's virtual-stage 1F1B with overlapped transfers). Whether a
+// receive occupies the receiving GPU comes from Schedule.OverlapRecv. Every
+// schedule honors the same InjectGate/OnComplete contract, so WSP couples
+// them all.
 //
 // The package reports steady-state throughput, per-GPU utilization, and an
 // optional execution trace (Figure 1).
@@ -147,19 +149,14 @@ func New(eng *sim.Engine, cfg Config) (*Pipeline, error) {
 	for s := 0; s < k; s++ {
 		pl.gpus = append(pl.gpus, sim.NewResource(eng, fmt.Sprintf("gpu%d", s)))
 	}
+	overlap := cfg.Schedule.OverlapRecv()
 	switch cfg.Schedule.Name() {
-	case sched.NameFIFO:
-		pl.run = newFifoRunner(pl)
-	case sched.NameOverlap:
-		pl.run = newOverlapRunner(pl)
+	case sched.NameFIFO, sched.NameOverlap:
+		pl.run = newFifoRunner(pl, overlap)
 	case sched.NameGPipe:
 		pl.run = newGPipeRunner(pl)
-	case sched.NameOneF1B:
-		pl.run = newOneF1BRunner(pl)
-	case sched.NameInterleaved:
-		pl.run = newChunkRunner(pl, true)
-	case sched.NameTwoBW:
-		pl.run = newChunkRunner(pl, false)
+	case sched.NameOneF1B, sched.NameTwoBW, sched.NameInterleaved:
+		pl.run = newChunkRunner(pl, overlap)
 	default:
 		return nil, fmt.Errorf("pipeline: no executor for schedule %q", cfg.Schedule.Name())
 	}
@@ -300,111 +297,4 @@ func RunOn(eng *sim.Engine, cfg Config) (*Result, error) {
 		return nil, err
 	}
 	return pl.Result()
-}
-
-// fifoRunner is the paper's Section 4 discipline — the original executor,
-// kept numerically identical: same scheduling order, same fused last stage.
-// All task completions flow through three handlers registered once at
-// construction, so the steady state schedules without allocating; the x
-// payload of each completion is the task's exact submitted duration, from
-// which the trace reconstructs span starts bit-identically.
-type fifoRunner struct {
-	pl      *Pipeline
-	startFn func(p int)
-	idFwd   int32
-	idBwd   int32
-	idFused int32
-}
-
-func newFifoRunner(pl *Pipeline) *fifoRunner {
-	r := &fifoRunner{pl: pl}
-	r.startFn = r.start
-	r.idFwd = pl.register(r.forwardDone)
-	r.idBwd = pl.register(r.backwardDone)
-	r.idFused = pl.register(r.fusedDone)
-	return r
-}
-
-func (r *fifoRunner) poke() { r.pl.inject(r.startFn) }
-
-func (r *fifoRunner) start(p int) { r.forward(p, 0) }
-
-// forward schedules the forward pass of minibatch p on stage s. The task's
-// duration includes the time to receive the input activations from the
-// previous stage (RecvActTime), which serializes with computation.
-//
-//hetlint:hotpath
-func (r *fifoRunner) forward(p, s int) {
-	pl := r.pl
-	st := &pl.cfg.Plan.Stages[s]
-	if s == pl.k-1 {
-		// Last partition: forward immediately followed by backward, one task.
-		dur := pl.dur(p, s, st.RecvActTime+st.FwdTime+st.BwdTime)
-		pl.gpus[s].SubmitID(dur, r.idFused, int32(p), int32(s))
-		return
-	}
-	dur := pl.dur(p, s, st.RecvActTime+st.FwdTime)
-	pl.gpus[s].SubmitID(dur, r.idFwd, int32(p), int32(s))
-}
-
-//hetlint:hotpath
-func (r *fifoRunner) fusedDone(a, b int32, x float64) {
-	pl := r.pl
-	p, s := int(a), int(b)
-	if pl.cfg.Trace != nil {
-		now := pl.eng.Now()
-		mid := now - sim.Time(pl.time(p, s, pl.cfg.Plan.Stages[s].BwdTime))
-		pl.cfg.Trace.Add(s, p, trace.Forward, now-sim.Time(x), mid)
-		pl.cfg.Trace.Add(s, p, trace.Backward, mid, now)
-	}
-	r.sendGrad(p, s)
-}
-
-//hetlint:hotpath
-func (r *fifoRunner) forwardDone(a, b int32, x float64) {
-	pl := r.pl
-	p, s := int(a), int(b)
-	if pl.cfg.Trace != nil {
-		pl.cfg.Trace.Add(s, p, trace.Forward, pl.eng.Now()-sim.Time(x), pl.eng.Now())
-	}
-	// The send itself is asynchronous for the sender; the receive cost is
-	// charged to the downstream stage's task.
-	r.forward(p, s+1)
-}
-
-// backward schedules the backward pass of minibatch p on stage s (s < k-1;
-// the last stage's backward is fused into its forward task). The task's
-// duration includes receiving the gradients from the next stage.
-//
-//hetlint:hotpath
-func (r *fifoRunner) backward(p, s int) {
-	pl := r.pl
-	st := &pl.cfg.Plan.Stages[s]
-	dur := pl.dur(p, s, st.RecvGradTime+st.BwdTime)
-	pl.gpus[s].SubmitID(dur, r.idBwd, int32(p), int32(s))
-}
-
-//hetlint:hotpath
-func (r *fifoRunner) backwardDone(a, b int32, x float64) {
-	pl := r.pl
-	p, s := int(a), int(b)
-	if pl.cfg.Trace != nil {
-		pl.cfg.Trace.Add(s, p, trace.Backward, pl.eng.Now()-sim.Time(x), pl.eng.Now())
-	}
-	if s == 0 {
-		pl.complete(p)
-		return
-	}
-	r.sendGrad(p, s)
-}
-
-// sendGrad propagates minibatch p's boundary gradients from stage s to s-1.
-//
-//hetlint:hotpath
-func (r *fifoRunner) sendGrad(p, s int) {
-	if s == 0 {
-		r.pl.complete(p)
-		return
-	}
-	r.backward(p, s-1)
 }

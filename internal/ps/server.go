@@ -222,11 +222,12 @@ func (s *Server) takeBackingFrom(flat tensor.Vector) tensor.Vector {
 // would and returns the clock it will advance to, without touching any
 // weight. The TCP transport uses it to acknowledge a push before applying
 // it, overlapping the apply with the acknowledgment's network transit.
-// That reordering is invisible to every reader: requests on the same
-// connection are handled after the commit, and readers on other
-// connections are clock-gated (Pull/PullAt block until the commit
-// advances the clock), so nothing can observe the acknowledged-but-
-// uncommitted window.
+// Clock-gated readers cannot observe the reordering: requests on the same
+// connection are handled after the commit, and Pull/PullAt on other
+// connections block until the commit advances the clock. A reader that is
+// not clock-gated — GlobalClock, Stats, a checkpoint, or the run owner
+// reading final state off the Server — must first WaitClock for the clock
+// it expects.
 //
 //hetlint:hotpath
 func (s *Server) previewPush(w int, keys []string, dims []int) (int, error) {
@@ -542,10 +543,11 @@ func (s *Server) pullAtView(keys []string, clock int, sink vecSink) error {
 	return nil
 }
 
-// waitClock blocks until the global clock reaches c (or the server closes).
+// WaitClock blocks until the global clock reaches c (or the server closes).
 // The transport's snapshot cache uses it to honor the D-bound before
-// serving a pre-encoded snapshot frame.
-func (s *Server) waitClock(c int) error {
+// serving a pre-encoded snapshot frame, and a run's owner uses it to let
+// acknowledged-but-uncommitted TCP pushes land before reading final state.
+func (s *Server) WaitClock(c int) error {
 	if c < 0 {
 		return fmt.Errorf("ps: negative snapshot clock %d", c)
 	}

