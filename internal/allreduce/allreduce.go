@@ -1,129 +1,10 @@
-// Package allreduce implements bandwidth-optimal ring all-reduce (Patarasuk
-// & Yuan), the collective underlying the paper's Horovod baseline. It
-// provides both a real, channel-based implementation for N in-process ranks
-// (used by the numeric BSP trainer and exercised by tests) and the standard
-// analytic cost model used by the cluster simulator: 2(N-1) steps, each
-// moving 1/N of the payload over the slowest link.
+// Package allreduce models bandwidth-optimal ring all-reduce (Patarasuk &
+// Yuan), the collective underlying the paper's Horovod baseline. The cluster
+// simulator charges each synchronous step the standard analytic cost: 2(N-1)
+// steps, each moving 1/N of the payload over the slowest link.
 package allreduce
 
-import (
-	"fmt"
-	"sync"
-
-	"hetpipe/internal/profile"
-	"hetpipe/internal/tensor"
-)
-
-// Ring coordinates ring all-reduce across n in-process ranks. Construct one
-// Ring per group and call AllReduce from exactly n goroutines per round.
-type Ring struct {
-	n  int
-	ch []chan tensor.Vector // ch[i]: messages into rank i from rank i-1
-	mu sync.Mutex
-	// round sanity-checks that callers keep lengths consistent per round.
-	lens map[int]int
-}
-
-// NewRing creates a group of n ranks.
-func NewRing(n int) (*Ring, error) {
-	if n < 1 {
-		return nil, fmt.Errorf("allreduce: need at least one rank, got %d", n)
-	}
-	r := &Ring{n: n, ch: make([]chan tensor.Vector, n), lens: make(map[int]int)}
-	for i := range r.ch {
-		r.ch[i] = make(chan tensor.Vector, 1)
-	}
-	return r, nil
-}
-
-// Ranks reports the group size.
-func (r *Ring) Ranks() int { return r.n }
-
-// AllReduce sums data element-wise across all ranks, in place: when every
-// rank's call returns, each rank's slice holds the global sum. The vector
-// length must be identical across ranks and at least n (each of the n chunks
-// must be non-empty); lengths below n fall back to a gather-free variant.
-func (r *Ring) AllReduce(rank int, data tensor.Vector) error {
-	if rank < 0 || rank >= r.n {
-		return fmt.Errorf("allreduce: rank %d out of range [0,%d)", rank, r.n)
-	}
-	if r.n == 1 {
-		return nil
-	}
-	r.mu.Lock()
-	if l, ok := r.lens[rank]; ok && l != 0 {
-		r.mu.Unlock()
-		return fmt.Errorf("allreduce: rank %d re-entered before round completed", rank)
-	}
-	r.lens[rank] = len(data)
-	r.mu.Unlock()
-	defer func() {
-		r.mu.Lock()
-		delete(r.lens, rank)
-		r.mu.Unlock()
-	}()
-
-	n := r.n
-	// chunk returns the half-open element range of chunk c.
-	chunk := func(c int) (int, int) {
-		c = ((c % n) + n) % n
-		base := len(data) / n
-		rem := len(data) % n
-		lo := c*base + min(c, rem)
-		size := base
-		if c < rem {
-			size++
-		}
-		return lo, lo + size
-	}
-	send := r.ch[(rank+1)%n]
-	recv := r.ch[rank]
-
-	// Reduce-scatter: after n-1 steps, rank i holds the fully reduced
-	// chunk (i+1) mod n.
-	for s := 0; s < n-1; s++ {
-		lo, hi := chunk(rank - s)
-		out := data[lo:hi].Clone()
-		send <- out
-		in := <-recv
-		lo, hi = chunk(rank - s - 1)
-		if len(in) != hi-lo {
-			return fmt.Errorf("allreduce: rank %d step %d: got %d elems, want %d (mismatched lengths across ranks?)",
-				rank, s, len(in), hi-lo)
-		}
-		data[lo:hi].AddInPlace(in)
-	}
-	// All-gather: circulate the reduced chunks.
-	for s := 0; s < n-1; s++ {
-		lo, hi := chunk(rank + 1 - s)
-		send <- data[lo:hi].Clone()
-		in := <-recv
-		lo, hi = chunk(rank - s)
-		if len(in) != hi-lo {
-			return fmt.Errorf("allreduce: rank %d gather step %d: got %d elems, want %d",
-				rank, s, len(in), hi-lo)
-		}
-		copy(data[lo:hi], in)
-	}
-	return nil
-}
-
-// AllReduceMean is AllReduce followed by division by the rank count — the
-// gradient averaging Horovod performs.
-func (r *Ring) AllReduceMean(rank int, data tensor.Vector) error {
-	if err := r.AllReduce(rank, data); err != nil {
-		return err
-	}
-	data.Scale(1 / float64(r.n))
-	return nil
-}
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
-}
+import "hetpipe/internal/profile"
 
 // Time predicts one ring all-reduce of the given payload over n workers
 // whose slowest interconnect is described by link: 2(N-1) steps, each

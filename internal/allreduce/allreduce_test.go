@@ -1,197 +1,10 @@
 package allreduce
 
 import (
-	"math"
-	"math/rand"
-	"sync"
 	"testing"
-	"testing/quick"
 
 	"hetpipe/internal/profile"
-	"hetpipe/internal/tensor"
 )
-
-// run executes one all-reduce round across n goroutines and returns the
-// per-rank results.
-func run(t *testing.T, n, dim int, fill func(rank, i int) float64) []tensor.Vector {
-	t.Helper()
-	r, err := NewRing(n)
-	if err != nil {
-		t.Fatal(err)
-	}
-	data := make([]tensor.Vector, n)
-	for rank := range data {
-		data[rank] = tensor.NewVector(dim)
-		for i := range data[rank] {
-			data[rank][i] = fill(rank, i)
-		}
-	}
-	var wg sync.WaitGroup
-	errs := make([]error, n)
-	for rank := 0; rank < n; rank++ {
-		rank := rank
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			errs[rank] = r.AllReduce(rank, data[rank])
-		}()
-	}
-	wg.Wait()
-	for rank, err := range errs {
-		if err != nil {
-			t.Fatalf("rank %d: %v", rank, err)
-		}
-	}
-	return data
-}
-
-func TestAllReduceSum(t *testing.T) {
-	for _, n := range []int{1, 2, 3, 4, 7, 16} {
-		dim := 40
-		data := run(t, n, dim, func(rank, i int) float64 { return float64(rank + i) })
-		for rank := 0; rank < n; rank++ {
-			for i := 0; i < dim; i++ {
-				want := float64(n*i) + float64(n*(n-1)/2)
-				if math.Abs(data[rank][i]-want) > 1e-9 {
-					t.Fatalf("n=%d rank=%d elem %d = %v, want %v", n, rank, i, data[rank][i], want)
-				}
-			}
-		}
-	}
-}
-
-func TestAllReduceUnevenChunks(t *testing.T) {
-	// Length not divisible by rank count exercises the remainder chunks.
-	data := run(t, 4, 10, func(rank, i int) float64 { return float64(rank*100 + i) })
-	for i := 0; i < 10; i++ {
-		want := float64(0+100+200+300) + 4*float64(i)
-		if data[2][i] != want {
-			t.Fatalf("elem %d = %v, want %v", i, data[2][i], want)
-		}
-	}
-}
-
-func TestAllReduceMean(t *testing.T) {
-	r, err := NewRing(4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	data := make([]tensor.Vector, 4)
-	var wg sync.WaitGroup
-	for rank := 0; rank < 4; rank++ {
-		rank := rank
-		data[rank] = tensor.Vector{float64(rank), 8}
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			if err := r.AllReduceMean(rank, data[rank]); err != nil {
-				t.Error(err)
-			}
-		}()
-	}
-	wg.Wait()
-	for rank := 0; rank < 4; rank++ {
-		if data[rank][0] != 1.5 || data[rank][1] != 8 {
-			t.Fatalf("rank %d mean = %v, want [1.5 8]", rank, data[rank])
-		}
-	}
-}
-
-func TestAllReduceConsecutiveRounds(t *testing.T) {
-	// The same ring must serve many rounds (per-iteration gradient sync).
-	r, _ := NewRing(3)
-	var wg sync.WaitGroup
-	results := make([]tensor.Vector, 3)
-	for rank := 0; rank < 3; rank++ {
-		rank := rank
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for round := 0; round < 50; round++ {
-				v := tensor.Vector{1, 2, 3, 4}
-				if err := r.AllReduce(rank, v); err != nil {
-					t.Error(err)
-					return
-				}
-				results[rank] = v
-			}
-		}()
-	}
-	wg.Wait()
-	for rank := 0; rank < 3; rank++ {
-		if results[rank][0] != 3 || results[rank][3] != 12 {
-			t.Fatalf("rank %d = %v", rank, results[rank])
-		}
-	}
-}
-
-func TestRingErrors(t *testing.T) {
-	if _, err := NewRing(0); err == nil {
-		t.Error("zero ranks accepted")
-	}
-	r, _ := NewRing(2)
-	if err := r.AllReduce(5, tensor.Vector{1}); err == nil {
-		t.Error("out-of-range rank accepted")
-	}
-	// Single-rank reduce is the identity and never blocks.
-	one, _ := NewRing(1)
-	v := tensor.Vector{7}
-	if err := one.AllReduce(0, v); err != nil || v[0] != 7 {
-		t.Errorf("single-rank reduce: %v %v", v, err)
-	}
-}
-
-// Property: all-reduce equals the naive sum for random inputs.
-func TestAllReduceMatchesNaiveProperty(t *testing.T) {
-	prop := func(seed int64) bool {
-		rng := rand.New(rand.NewSource(seed))
-		n := 2 + rng.Intn(5)
-		dim := n + rng.Intn(20)
-		inputs := make([]tensor.Vector, n)
-		want := tensor.NewVector(dim)
-		for rank := range inputs {
-			inputs[rank] = tensor.NewVector(dim)
-			for i := range inputs[rank] {
-				inputs[rank][i] = rng.NormFloat64()
-				want[i] += inputs[rank][i]
-			}
-		}
-		r, err := NewRing(n)
-		if err != nil {
-			return false
-		}
-		var wg sync.WaitGroup
-		ok := true
-		var mu sync.Mutex
-		for rank := 0; rank < n; rank++ {
-			rank := rank
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				if err := r.AllReduce(rank, inputs[rank]); err != nil {
-					mu.Lock()
-					ok = false
-					mu.Unlock()
-				}
-			}()
-		}
-		wg.Wait()
-		if !ok {
-			return false
-		}
-		for rank := 0; rank < n; rank++ {
-			for i := 0; i < dim; i++ {
-				if math.Abs(inputs[rank][i]-want[i]) > 1e-9 {
-					return false
-				}
-			}
-		}
-		return true
-	}
-	if err := quick.Check(prop, &quick.Config{MaxCount: 40}); err != nil {
-		t.Fatal(err)
-	}
-}
 
 func TestCostModel(t *testing.T) {
 	link := profile.LinkModel{PeakBPS: 10e9, Efficiency: 0.5, Latency: 1e-4}

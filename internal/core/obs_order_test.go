@@ -55,40 +55,3 @@ func TestObserverEventOrdering(t *testing.T) {
 		t.Errorf("minibatch events = %d, want %d", perVW, want)
 	}
 }
-
-// Fanning the simulator's stream out through obs.Multi must deliver every
-// event to every observer in registration order, and both fan-out arms must
-// see the identical sequence.
-func TestObserverFanOutFromSim(t *testing.T) {
-	dep := deploy(t, model.ResNet152(), hw.EqualDistribution, 2, 0, PlacementDefault)
-	var a, b obs.Recorder
-	interleave := make([]byte, 0, 4096)
-	ob := obs.Multi(
-		nil,
-		func(obs.Event) { interleave = append(interleave, 'a') },
-		a.Func(),
-		func(obs.Event) { interleave = append(interleave, 'b') },
-		b.Func(),
-	)
-	if _, err := dep.SimulateWSPFaults(context.Background(), dep.DefaultMinibatches(), 4*dep.Nm, ob, nil, 0); err != nil {
-		t.Fatal(err)
-	}
-	ea, eb := a.Events(), b.Events()
-	if len(ea) == 0 || len(ea) != len(eb) {
-		t.Fatalf("recorders saw %d and %d events, want equal and non-zero", len(ea), len(eb))
-	}
-	for i := range ea {
-		if ea[i] != eb[i] {
-			t.Fatalf("event %d differs between fan-out arms: %+v vs %+v", i, ea[i], eb[i])
-		}
-	}
-	// Argument order per event: 'a' fires before 'b' for every event.
-	if len(interleave) != 2*len(ea) {
-		t.Fatalf("interleave saw %d calls, want %d", len(interleave), 2*len(ea))
-	}
-	for i := 0; i < len(interleave); i += 2 {
-		if interleave[i] != 'a' || interleave[i+1] != 'b' {
-			t.Fatalf("fan-out order broken at event %d: %q", i/2, interleave[i:i+2])
-		}
-	}
-}

@@ -5,18 +5,40 @@ import (
 	"testing"
 )
 
+// validSpecs are specs Parse must accept.
+var validSpecs = []string{
+	"slow:w0:x2",
+	"slow:w1:x1.5:mb8-24",
+	"crash:w2:mb40",
+	"crash:w2:mb40:down2.5",
+	"stall:s0:c3:0.05",
+	"link:w3:x4",
+	"rand:0.5:seed7",
+	"slow:w0:x2,crash:w1:mb40,link:w2:x3,stall:s1:c2:0.1",
+}
+
+// badSpecs are specs Parse must reject.
+var badSpecs = []string{
+	"boom:w0:x2",                // unknown kind
+	"slow:0:x2",                 // missing w prefix
+	"slow:w0:2",                 // missing x prefix
+	"slow:w0:x0.5",              // factor below 1
+	"slow:w0:x2:8-24",           // missing mb prefix
+	"slow:w0:x2:mb24-8",         // inverted range
+	"crash:w0:mb0",              // minibatch below 1
+	"crash:w0",                  // missing minibatch
+	"crash:w0:mb4,crash:w0:mb9", // double crash
+	"stall:s0:c0:0.1",           // clock below 1
+	"stall:s0:c1:0",             // zero delay
+	"stall:s0:c1",               // missing delay
+	"link:w0:x0.9",              // factor below 1
+	"rand:1.5",                  // rate above 1
+	"rand:0.5,rand:0.2",         // two rand clauses
+	"rand:0.5:max1.1",           // max factor below 1.5
+}
+
 func TestParseRoundTrip(t *testing.T) {
-	specs := []string{
-		"slow:w0:x2",
-		"slow:w1:x1.5:mb8-24",
-		"crash:w2:mb40",
-		"crash:w2:mb40:down2.5",
-		"stall:s0:c3:0.05",
-		"link:w3:x4",
-		"rand:0.5:seed7",
-		"slow:w0:x2,crash:w1:mb40,link:w2:x3,stall:s1:c2:0.1",
-	}
-	for _, spec := range specs {
+	for _, spec := range validSpecs {
 		p, err := Parse(spec)
 		if err != nil {
 			t.Fatalf("Parse(%q): %v", spec, err)
@@ -48,29 +70,34 @@ func TestParseEmpty(t *testing.T) {
 }
 
 func TestParseErrors(t *testing.T) {
-	bad := []string{
-		"boom:w0:x2",                // unknown kind
-		"slow:0:x2",                 // missing w prefix
-		"slow:w0:2",                 // missing x prefix
-		"slow:w0:x0.5",              // factor below 1
-		"slow:w0:x2:8-24",           // missing mb prefix
-		"slow:w0:x2:mb24-8",         // inverted range
-		"crash:w0:mb0",              // minibatch below 1
-		"crash:w0",                  // missing minibatch
-		"crash:w0:mb4,crash:w0:mb9", // double crash
-		"stall:s0:c0:0.1",           // clock below 1
-		"stall:s0:c1:0",             // zero delay
-		"stall:s0:c1",               // missing delay
-		"link:w0:x0.9",              // factor below 1
-		"rand:1.5",                  // rate above 1
-		"rand:0.5,rand:0.2",         // two rand clauses
-		"rand:0.5:max1.1",           // max factor below 1.5
-	}
-	for _, spec := range bad {
+	for _, spec := range badSpecs {
 		if _, err := Parse(spec); err == nil {
 			t.Errorf("Parse(%q) succeeded, want error", spec)
 		}
 	}
+}
+
+// FuzzParse feeds arbitrary specs to Parse: it must never panic, and any
+// spec it accepts must render to a canonical form that parses again to the
+// same rendering.
+func FuzzParse(f *testing.F) {
+	for _, spec := range append(append([]string{}, validSpecs...), badSpecs...) {
+		f.Add(spec)
+	}
+	f.Fuzz(func(t *testing.T, spec string) {
+		p, err := Parse(spec)
+		if err != nil {
+			return
+		}
+		canon := p.String()
+		again, err := Parse(canon)
+		if err != nil {
+			t.Fatalf("Parse(%q) accepted, but its rendering %q is rejected: %v", spec, canon, err)
+		}
+		if got := again.String(); got != canon {
+			t.Fatalf("Parse(%q): canonical form unstable: %q then %q", spec, canon, got)
+		}
+	})
 }
 
 func TestComputeScale(t *testing.T) {

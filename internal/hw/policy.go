@@ -66,9 +66,6 @@ type VirtualWorker struct {
 // TypeString renders the VW's GPU mix, e.g. "VVQQ".
 func (vw *VirtualWorker) TypeString() string { return TypeString(vw.GPUs) }
 
-// Size reports the number of GPUs (pipeline stages) in the VW.
-func (vw *VirtualWorker) Size() int { return len(vw.GPUs) }
-
 // CrossNodeBoundaries counts adjacent stage pairs whose GPUs sit on
 // different nodes (each such boundary communicates over InfiniBand).
 func (vw *VirtualWorker) CrossNodeBoundaries() int {

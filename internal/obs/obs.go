@@ -40,7 +40,7 @@ const (
 	KindArrive
 	// KindAdmit fires when the serving admission layer coalesces queued
 	// requests into a microbatch; Event.Batch is the replica-local batch
-	// sequence number and Event.Request the number of requests coalesced.
+	// sequence number and Event.Requests the number of requests coalesced.
 	KindAdmit
 	// KindReply fires when a serving request's microbatch completes the
 	// pipeline; Event.Request is the request id and Event.Batch its batch.
@@ -68,9 +68,11 @@ type Event struct {
 	// Fault describes the injected fault for KindFaultInject and KindRecover
 	// events, in the internal/fault spec language (e.g. "crash:w2:mb40").
 	Fault string
-	// Request is the 0-based serving request id (KindArrive, KindReply);
-	// for KindAdmit it carries the number of requests coalesced instead.
+	// Request is the 0-based serving request id (KindArrive, KindReply).
 	Request int
+	// Requests is the number of requests coalesced into the microbatch
+	// (KindAdmit).
+	Requests int
 	// Batch is the replica-local 1-based microbatch sequence number
 	// (KindAdmit, KindReply, and serving KindRecover events).
 	Batch int

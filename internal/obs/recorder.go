@@ -2,32 +2,6 @@ package obs
 
 import "sync"
 
-// Multi fans one event stream out to several observers, calling them in
-// argument order. Nil entries are dropped, and when nothing remains Multi
-// returns nil — so a caller composing optional observers keeps the backends'
-// nil-observer fast path (no per-event call at all) instead of paying for an
-// empty loop on every event. A single survivor is returned directly for the
-// same reason.
-func Multi(fns ...Func) Func {
-	live := make([]Func, 0, len(fns))
-	for _, fn := range fns {
-		if fn != nil {
-			live = append(live, fn)
-		}
-	}
-	switch len(live) {
-	case 0:
-		return nil
-	case 1:
-		return live[0]
-	}
-	return func(e Event) {
-		for _, fn := range live {
-			fn(e)
-		}
-	}
-}
-
 // Recorder accumulates every observed event in arrival order. Unlike a plain
 // slice-appending closure it is safe to share across goroutines, so one
 // recorder can tail several concurrent runs (each backend serializes its own

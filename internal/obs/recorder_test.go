@@ -5,50 +5,6 @@ import (
 	"testing"
 )
 
-// Multi must preserve the backends' nil-observer fast path: composing nothing
-// (or only nils) yields nil, not an empty closure the hot loop would call per
-// event.
-func TestMultiNilFastPath(t *testing.T) {
-	if Multi() != nil {
-		t.Error("Multi() != nil")
-	}
-	if Multi(nil, nil) != nil {
-		t.Error("Multi(nil, nil) != nil")
-	}
-	called := false
-	single := func(Event) { called = true }
-	got := Multi(nil, single, nil)
-	if got == nil {
-		t.Fatal("Multi with one live observer returned nil")
-	}
-	got(Event{})
-	if !called {
-		t.Error("surviving observer was not called")
-	}
-}
-
-// Fan-out must call observers in argument order, once each per event.
-func TestMultiOrder(t *testing.T) {
-	var order []int
-	fn := Multi(
-		func(Event) { order = append(order, 1) },
-		nil,
-		func(Event) { order = append(order, 2) },
-		func(Event) { order = append(order, 3) },
-	)
-	fn(Event{Kind: KindClock})
-	fn(Event{Kind: KindPush})
-	want := []int{1, 2, 3, 1, 2, 3}
-	if len(order) != len(want) {
-		t.Fatalf("order = %v, want %v", order, want)
-	}
-	for i := range want {
-		if order[i] != want[i] {
-			t.Fatalf("order = %v, want %v", order, want)
-		}
-	}
-}
-
 // A Recorder shared by concurrently emitting goroutines must not lose or tear
 // events. Each backend serializes its own stream, but two engines running in
 // parallel do not serialize against each other — this is the case the mutex

@@ -500,7 +500,7 @@ func (r *replica) admit() {
 			r.injectStarts(r.admitSeq)
 		}
 		if s.ob != nil {
-			s.emit(obs.Event{Kind: obs.KindAdmit, VW: r.w, Batch: r.admitSeq, Request: n})
+			s.emit(obs.Event{Kind: obs.KindAdmit, VW: r.w, Batch: r.admitSeq, Requests: n})
 		}
 		r.submit(0, int32(r.admitSeq), 0)
 	}

@@ -292,7 +292,7 @@ func TestOverlapScheduleServes(t *testing.T) {
 
 func TestServeObserverStream(t *testing.T) {
 	dep := deployment(t, sched.NameFIFO, hw.EqualDistribution, 4)
-	var arrives, admits, replies int
+	var arrives, admits, admitted, replies int
 	lastTime := -1.0
 	_, err := Run(context.Background(), dep, traffic(t, "poisson:r50:n100"), Options{
 		Obs: func(e obs.Event) {
@@ -308,6 +308,10 @@ func TestServeObserverStream(t *testing.T) {
 				arrives++
 			case obs.KindAdmit:
 				admits++
+				if e.Requests < 1 || e.Request != 0 {
+					t.Fatalf("admit event: Requests = %d, Request = %d; want >= 1 and 0", e.Requests, e.Request)
+				}
+				admitted += e.Requests
 			case obs.KindReply:
 				replies++
 			}
@@ -321,6 +325,9 @@ func TestServeObserverStream(t *testing.T) {
 	}
 	if admits == 0 {
 		t.Fatal("no admit events")
+	}
+	if admitted != 100 {
+		t.Fatalf("admit events coalesced %d requests, want each of the 100 exactly once", admitted)
 	}
 }
 

@@ -5,15 +5,37 @@ import (
 	"testing"
 )
 
+// canonicalTraffic are valid specs already in canonical form.
+var canonicalTraffic = []string{
+	"poisson:r120:n2000",
+	"poisson:r120:n2000:seed7",
+	"poisson:r120:n2000:seed7:crit0.25",
+	"diurnal:r120:a0.5:p60:n2000",
+	"bursty:r60:x4:on2:off8:n2000:crit0.1",
+	"closed:u64:t0.05:n2000:seed3",
+}
+
+// badTraffic are specs ParseTraffic must reject.
+var badTraffic = []string{
+	"",
+	"warp:r10:n5",
+	"poisson:r10",
+	"poisson:rX:n5",
+	"poisson:r10:n0",
+	"poisson:r0:n5",
+	"poisson:r10:n5:bogus1",
+	"poisson:r10:n5:seedX",
+	"poisson:r10:n5:crit1.5",
+	"diurnal:r10:a1.5:p60:n5",
+	"diurnal:r10:a0.5:p0:n5",
+	"bursty:r10:x1:on2:off8:n5",
+	"bursty:r10:x4:on0:off8:n5",
+	"closed:u0:t0.1:n5",
+	"closed:u4:t-1:n5",
+}
+
 func TestParseTrafficRoundTrip(t *testing.T) {
-	for _, spec := range []string{
-		"poisson:r120:n2000",
-		"poisson:r120:n2000:seed7",
-		"poisson:r120:n2000:seed7:crit0.25",
-		"diurnal:r120:a0.5:p60:n2000",
-		"bursty:r60:x4:on2:off8:n2000:crit0.1",
-		"closed:u64:t0.05:n2000:seed3",
-	} {
+	for _, spec := range canonicalTraffic {
 		tr, err := ParseTraffic(spec)
 		if err != nil {
 			t.Fatalf("ParseTraffic(%q): %v", spec, err)
@@ -32,27 +54,34 @@ func TestParseTrafficRoundTrip(t *testing.T) {
 }
 
 func TestParseTrafficErrors(t *testing.T) {
-	for _, spec := range []string{
-		"",
-		"warp:r10:n5",
-		"poisson:r10",
-		"poisson:rX:n5",
-		"poisson:r10:n0",
-		"poisson:r0:n5",
-		"poisson:r10:n5:bogus1",
-		"poisson:r10:n5:seedX",
-		"poisson:r10:n5:crit1.5",
-		"diurnal:r10:a1.5:p60:n5",
-		"diurnal:r10:a0.5:p0:n5",
-		"bursty:r10:x1:on2:off8:n5",
-		"bursty:r10:x4:on0:off8:n5",
-		"closed:u0:t0.1:n5",
-		"closed:u4:t-1:n5",
-	} {
+	for _, spec := range badTraffic {
 		if _, err := ParseTraffic(spec); err == nil {
 			t.Errorf("ParseTraffic(%q) accepted", spec)
 		}
 	}
+}
+
+// FuzzParseTraffic feeds arbitrary specs to ParseTraffic: it must never
+// panic, and any spec it accepts must render to a canonical form that parses
+// again to the same rendering.
+func FuzzParseTraffic(f *testing.F) {
+	for _, spec := range append(append([]string{}, canonicalTraffic...), badTraffic...) {
+		f.Add(spec)
+	}
+	f.Fuzz(func(t *testing.T, spec string) {
+		tr, err := ParseTraffic(spec)
+		if err != nil {
+			return
+		}
+		canon := tr.String()
+		again, err := ParseTraffic(canon)
+		if err != nil {
+			t.Fatalf("ParseTraffic(%q) accepted, but its rendering %q is rejected: %v", spec, canon, err)
+		}
+		if got := again.String(); got != canon {
+			t.Fatalf("ParseTraffic(%q): canonical form unstable: %q then %q", spec, canon, got)
+		}
+	})
 }
 
 func TestArrivalsShape(t *testing.T) {

@@ -5,16 +5,17 @@
 // monotonically increasing sequence number breaks ties), which makes every
 // simulation run fully reproducible.
 //
-// The queue is an index-based 4-ary min-heap over a pooled, generation-
-// checked event arena: scheduling an event reuses a free arena slot instead
-// of allocating, the heap orders int32 slot ids instead of pointers, and no
-// interface boxing happens anywhere on the hot path. Steady-state
-// simulations therefore run allocation-free inside the engine; the only
-// allocations are the arena's one-time growth to the peak number of
-// concurrently pending events. Callers Register an EventFunc once and
-// schedule it by id (AtID/AfterID), threading two integers and a float
-// through the arena instead of capturing them in a closure, so the arena is
-// pointer-free and the garbage collector never scans queue traffic.
+// The queue is an index-based 4-ary min-heap over a pooled event arena:
+// scheduling an event reuses a free arena slot instead of allocating, the
+// heap orders int32 slot ids instead of pointers, and no interface boxing
+// happens anywhere on the hot path. Steady-state simulations therefore run
+// allocation-free inside the engine; the only allocations are the arena's
+// one-time growth to the peak number of concurrently pending events. Callers
+// Register an EventFunc once and schedule it by id (AtID/AfterID), threading
+// two integers and a float through the arena instead of capturing them in a
+// closure, so the arena is pointer-free and the garbage collector never
+// scans queue traffic. A scheduled event always fires: there is no
+// cancellation, so every heap entry is live.
 //
 // All durations and timestamps are in seconds of virtual time. The engine is
 // not safe for concurrent use; simulations are single-goroutine by design so
@@ -41,31 +42,13 @@ type Duration float64
 // queue traffic.
 type EventFunc func(a, b int32, x float64)
 
-// Handle identifies a scheduled event for cancellation. The zero Handle is
-// never valid. Handles are generation-checked: once the event has fired or
-// been cancelled, the handle goes stale and Cancel on it reports false, even
-// if the arena slot has been reused by a later event.
-type Handle struct {
-	slot int32
-	gen  uint32
-}
-
-// slot states.
-const (
-	slotFree uint8 = iota
-	slotQueued
-	slotCancelled
-)
-
-// slot is one arena entry: the event's time, its Register'd handler id ef,
-// and the handler's payload. It holds no pointers.
+// slot is one arena entry: the event's Register'd handler id ef and the
+// handler's payload. It holds no pointers; the event's time lives in its heap
+// entry.
 type slot struct {
-	at    Time
-	x     float64
-	a, b  int32
-	ef    int32
-	gen   uint32
-	state uint8
+	x    float64
+	a, b int32
+	ef   int32
 }
 
 // heapEnt is one heap entry with the ordering key (at, seq) inlined, so
@@ -86,11 +69,9 @@ type Engine struct {
 	fired   uint64
 	maxStep uint64 // safety bound; 0 means unlimited
 
-	slots []slot      // event arena; Handle.slot and heap entries index into it
+	slots []slot      // event arena; heap entries index into it
 	free  []int32     // free arena slots
-	heap  []heapEnt   // 4-ary min-heap of queued (or cancelled) events
-	live  int         // queued, non-cancelled events
-	dead  int         // cancelled events still occupying heap entries
+	heap  []heapEnt   // 4-ary min-heap of queued events
 	funcs []EventFunc // Register'd handlers, indexed by slot.ef
 }
 
@@ -105,28 +86,20 @@ func (e *Engine) Now() Time { return e.now }
 // Fired reports how many events have fired so far.
 func (e *Engine) Fired() uint64 { return e.fired }
 
-// Pending reports how many events are scheduled but not yet fired
-// (cancelled events do not count).
-func (e *Engine) Pending() int { return e.live }
-
 // SetStepLimit bounds the total number of events the engine will fire;
 // Run returns an error if the limit is hit. Zero disables the limit.
 func (e *Engine) SetStepLimit(n uint64) { e.maxStep = n }
 
 // Reset returns the engine to the zero-clock empty state while keeping the
 // arena and heap capacity, so a warm engine re-simulates without re-growing
-// any internal storage. Outstanding Handles go stale, and Register'd
-// handlers are dropped (re-register after Reset). The step limit is
-// retained.
+// any internal storage. Pending events are dropped, and so are Register'd
+// handlers (re-register after Reset). The step limit is retained.
 func (e *Engine) Reset() {
 	for _, ent := range e.heap {
-		if e.slots[ent.id].state != slotFree {
-			e.freeSlot(ent.id)
-		}
+		e.free = append(e.free, ent.id)
 	}
 	e.heap = e.heap[:0]
 	e.now, e.seq, e.fired = 0, 0, 0
-	e.live, e.dead = 0, 0
 	e.funcs = e.funcs[:0]
 }
 
@@ -141,17 +114,6 @@ func (e *Engine) alloc() int32 {
 	}
 	e.slots = append(e.slots, slot{})
 	return int32(len(e.slots) - 1)
-}
-
-// freeSlot recycles an arena slot, bumping its generation so stale handles
-// cannot touch the next occupant.
-//
-//hetlint:hotpath
-func (e *Engine) freeSlot(id int32) {
-	s := &e.slots[id]
-	s.state = slotFree
-	s.gen++
-	e.free = append(e.free, id)
 }
 
 // less orders heap entries by (time, sequence).
@@ -226,75 +188,25 @@ func (e *Engine) Register(fn EventFunc) int32 {
 
 // AtID schedules the Register'd handler id to fire as fn(a, b, x) at
 // absolute time t without allocating: the payload rides in the event arena
-// instead of a closure. It returns a cancellation handle. Scheduling in the
-// past panics: it is always a bug in the simulation, never a recoverable
-// condition.
-func (e *Engine) AtID(t Time, id, a, b int32, x float64) Handle {
+// instead of a closure. Scheduling in the past panics: it is always a bug in
+// the simulation, never a recoverable condition.
+func (e *Engine) AtID(t Time, id, a, b int32, x float64) {
 	if t < e.now {
 		panic(fmt.Sprintf("sim: event scheduled at %v before now %v", t, e.now))
 	}
 	e.seq++
 	slotID := e.alloc()
-	s := &e.slots[slotID]
-	s.at = t
-	s.ef = id
-	s.a, s.b, s.x = a, b, x
-	s.state = slotQueued
+	e.slots[slotID] = slot{x: x, a: a, b: b, ef: id}
 	e.heapPush(heapEnt{at: t, seq: e.seq, id: slotID})
-	e.live++
-	return Handle{slot: slotID, gen: s.gen}
 }
 
 // AfterID schedules the Register'd handler id to fire as fn(a, b, x) d
 // seconds from now without allocating. Negative d panics.
-func (e *Engine) AfterID(d Duration, id, a, b int32, x float64) Handle {
+func (e *Engine) AfterID(d Duration, id, a, b int32, x float64) {
 	if d < 0 {
 		panic(fmt.Sprintf("sim: event scheduled with negative delay %v", d))
 	}
-	return e.AtID(e.now+Time(d), id, a, b, x)
-}
-
-// Cancel revokes a scheduled event. It reports whether the handle named a
-// still-pending event: a handle whose event already fired, was already
-// cancelled, or whose arena slot has been recycled for a newer event is
-// stale, and Cancel returns false without touching anything.
-func (e *Engine) Cancel(h Handle) bool {
-	if h.slot < 0 || int(h.slot) >= len(e.slots) {
-		return false
-	}
-	s := &e.slots[h.slot]
-	if s.state != slotQueued || s.gen != h.gen {
-		return false
-	}
-	// The heap entry stays until popped (lazy deletion); bump the generation
-	// now so the handle is immediately stale.
-	s.state = slotCancelled
-	s.gen++
-	e.live--
-	e.dead++
-	return true
-}
-
-// prune discards cancelled events at the top of the heap so the head is the
-// next live event; it reports whether one exists. With no cancellations
-// outstanding it is a pair of integer tests — the common case never loads a
-// slot.
-//
-//hetlint:hotpath
-func (e *Engine) prune() bool {
-	for len(e.heap) > 0 {
-		if e.dead == 0 {
-			return true
-		}
-		id := e.heap[0].id
-		if e.slots[id].state != slotCancelled {
-			return true
-		}
-		e.heapPop()
-		e.freeSlot(id)
-		e.dead--
-	}
-	return false
+	e.AtID(e.now+Time(d), id, a, b, x)
 }
 
 // Step fires the next event, advancing the clock to its timestamp.
@@ -302,22 +214,20 @@ func (e *Engine) prune() bool {
 //
 //hetlint:hotpath
 func (e *Engine) Step() bool {
-	if !e.prune() {
+	if len(e.heap) == 0 {
 		return false
 	}
 	ent := e.heapPop()
 	if ent.at < e.now {
 		panic("sim: clock went backwards")
 	}
-	s := &e.slots[ent.id]
 	e.now = ent.at
 	e.fired++
-	e.live--
 	// Free before firing so the callback can schedule into the slot; the
-	// callback state is captured first.
-	ef, a, b, x := s.ef, s.a, s.b, s.x
-	e.freeSlot(ent.id)
-	e.funcs[ef](a, b, x)
+	// callback state is copied out first.
+	s := e.slots[ent.id]
+	e.free = append(e.free, ent.id)
+	e.funcs[s.ef](s.a, s.b, s.x)
 	return true
 }
 
@@ -359,22 +269,6 @@ func (e *Engine) RunContext(ctx context.Context) error {
 			default:
 			}
 		}
-	}
-	return nil
-}
-
-// RunUntil fires events with timestamps <= deadline, then advances the clock
-// to the deadline (even if the queue still holds later events). It returns an
-// error under the same step-limit condition as Run.
-func (e *Engine) RunUntil(deadline Time) error {
-	for e.prune() && e.heap[0].at <= deadline {
-		e.Step()
-		if e.maxStep > 0 && e.fired > e.maxStep {
-			return fmt.Errorf("sim: step limit %d exceeded at t=%v", e.maxStep, e.now)
-		}
-	}
-	if e.now < deadline {
-		e.now = deadline
 	}
 	return nil
 }

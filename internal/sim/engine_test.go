@@ -102,34 +102,6 @@ func TestEngineNegativeDelayPanics(t *testing.T) {
 	e.AfterID(-1, e.Register(func(_, _ int32, _ float64) {}), 0, 0, 0)
 }
 
-func TestEngineRunUntil(t *testing.T) {
-	e := New()
-	fired := 0
-	fire := e.Register(func(_, _ int32, _ float64) { fired++ })
-	e.AtID(1, fire, 0, 0, 0)
-	e.AtID(5, fire, 0, 0, 0)
-	e.AtID(10, fire, 0, 0, 0)
-	if err := e.RunUntil(5); err != nil {
-		t.Fatal(err)
-	}
-	if fired != 2 {
-		t.Fatalf("fired = %d, want 2", fired)
-	}
-	if e.Now() != 5 {
-		t.Fatalf("now = %v, want 5", e.Now())
-	}
-	if e.Pending() != 1 {
-		t.Fatalf("pending = %d, want 1", e.Pending())
-	}
-	// RunUntil advances the clock to the deadline even with no events there.
-	if err := e.RunUntil(7); err != nil {
-		t.Fatal(err)
-	}
-	if e.Now() != 7 {
-		t.Fatalf("now = %v, want 7", e.Now())
-	}
-}
-
 func TestEngineStepLimit(t *testing.T) {
 	e := New()
 	e.SetStepLimit(10)

@@ -6,11 +6,11 @@ import (
 )
 
 // oracleEvent mirrors one scheduled event in the model queue: absolute time,
-// scheduling order, and lifecycle state.
+// scheduling order, and whether it has fired.
 type oracleEvent struct {
 	at    Time
 	order int
-	state uint8 // 0 pending, 1 fired, 2 cancelled
+	fired bool
 }
 
 // oracle is a sort-based reference implementation of the event queue: a flat
@@ -32,7 +32,7 @@ func (o *oracle) step() bool {
 	best := -1
 	for i := range o.events {
 		ev := &o.events[i]
-		if ev.state != 0 {
+		if ev.fired {
 			continue
 		}
 		if best < 0 || ev.at < o.events[best].at ||
@@ -43,84 +43,42 @@ func (o *oracle) step() bool {
 	if best < 0 {
 		return false
 	}
-	o.events[best].state = 1
+	o.events[best].fired = true
 	o.now = o.events[best].at
 	o.order = append(o.order, best)
 	return true
 }
 
-// cancel marks a pending event cancelled; it reports whether it was pending
-// (the value Engine.Cancel must return for the matching handle).
-func (o *oracle) cancel(i int) bool {
-	if o.events[i].state != 0 {
-		return false
-	}
-	o.events[i].state = 2
-	return true
-}
-
-func (o *oracle) pending() int {
-	n := 0
-	for i := range o.events {
-		if o.events[i].state == 0 {
-			n++
-		}
-	}
-	return n
-}
-
 // FuzzEventQueue drives random interleavings of schedule (relative AfterID
-// and absolute AtID), step, and cancel — including deliberately stale cancels — against
-// the sort-based oracle, asserting the identical (time, seq) total order, that
-// cancelled events never fire, and that generation-checked handles go stale
-// exactly when the oracle says the event is no longer pending (so a recycled
-// arena slot can never be cancelled through an old handle).
+// and absolute AtID) and step against the sort-based oracle, asserting the
+// identical (time, seq) total order, that Step reports an empty queue exactly
+// when the oracle does, and that the engine is drained once Run returns.
 func FuzzEventQueue(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte{0, 10, 0, 10, 2, 3, 0})
-	f.Add([]byte{1, 5, 1, 5, 1, 5, 3, 1, 4, 0, 2, 2, 2})
-	f.Add([]byte{0, 0, 0, 0, 0, 0, 3, 0, 3, 0, 2, 3, 1, 0, 7, 2, 4, 2})
+	f.Add([]byte{1, 5, 1, 5, 1, 5, 2, 1, 2, 0, 2, 2, 2})
+	f.Add([]byte{0, 0, 0, 0, 0, 0, 2, 0, 2, 0, 2, 3, 1, 0, 7, 2, 2, 2})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		e := New()
 		var o oracle
 		var got []int
 		fireID := e.Register(func(a, _ int32, _ float64) { got = append(got, int(a)) })
-		var handles []Handle // handles[i] corresponds to o.events[i]
 
 		for i := 0; i+1 < len(data); i += 2 {
-			op, arg := data[i]%5, data[i+1]
+			op, arg := data[i]%3, data[i+1]
 			switch op {
 			case 0: // schedule, relative time
 				id := o.add(e.Now() + Time(arg))
-				handles = append(handles, e.AfterID(Duration(arg), fireID, int32(id), 0, 0))
+				e.AfterID(Duration(arg), fireID, int32(id), 0, 0)
 			case 1: // schedule, absolute time
 				at := e.Now() + Time(arg)
 				id := o.add(at)
-				handles = append(handles, e.AtID(at, fireID, int32(id), 0, 0))
+				e.AtID(at, fireID, int32(id), 0, 0)
 			case 2: // step
 				want := o.step()
 				if gotStep := e.Step(); gotStep != want {
 					t.Fatalf("op %d: Step() = %v, oracle %v", i, gotStep, want)
 				}
-			case 3, 4: // cancel (op 4 tends to pick already-dead handles)
-				if len(handles) == 0 {
-					continue
-				}
-				id := int(arg) % len(handles)
-				if op == 4 {
-					id = id / 2 // bias toward older, likely-consumed handles
-				}
-				want := o.cancel(id)
-				if gotC := e.Cancel(handles[id]); gotC != want {
-					t.Fatalf("op %d: Cancel(ev %d) = %v, oracle %v", i, id, gotC, want)
-				}
-				// A consumed handle must stay permanently stale.
-				if e.Cancel(handles[id]) {
-					t.Fatalf("op %d: second Cancel(ev %d) succeeded", i, id)
-				}
-			}
-			if e.Pending() != o.pending() {
-				t.Fatalf("op %d: Pending() = %d, oracle %d", i, e.Pending(), o.pending())
 			}
 		}
 
@@ -128,6 +86,9 @@ func FuzzEventQueue(f *testing.F) {
 			t.Fatal(err)
 		}
 		for o.step() {
+		}
+		if e.Step() {
+			t.Fatal("Step() = true after Run drained the queue")
 		}
 		if len(got) != len(o.order) {
 			t.Fatalf("fired %d events, oracle fired %d", len(got), len(o.order))
@@ -140,22 +101,11 @@ func FuzzEventQueue(f *testing.F) {
 		if e.Now() != o.now {
 			t.Fatalf("final clock = %v, oracle %v", e.Now(), o.now)
 		}
-		if e.Pending() != 0 {
-			t.Fatalf("Pending() = %d after drain", e.Pending())
-		}
-		// Every handle is stale after the drain: nothing is cancellable.
-		for i, h := range handles {
-			if e.Cancel(h) {
-				t.Fatalf("Cancel(ev %d) succeeded after drain", i)
-			}
-		}
-		// The firing order must match the sort-based total order over the
-		// never-cancelled events.
-		var want []int
-		for i := range o.events {
-			if o.events[i].state == 1 {
-				want = append(want, i)
-			}
+		// The firing order must match the sort-based total order over every
+		// scheduled event.
+		want := make([]int, len(o.events))
+		for i := range want {
+			want[i] = i
 		}
 		sort.Slice(want, func(a, b int) bool {
 			ea, eb := o.events[want[a]], o.events[want[b]]
@@ -164,6 +114,9 @@ func FuzzEventQueue(f *testing.F) {
 			}
 			return ea.order < eb.order
 		})
+		if len(got) != len(want) {
+			t.Fatalf("fired %d events, scheduled %d", len(got), len(want))
+		}
 		for i := range want {
 			if got[i] != want[i] {
 				t.Fatalf("total order diverged at %d: got ev %d, want ev %d", i, got[i], want[i])

@@ -21,7 +21,6 @@ type Resource struct {
 	served    uint64
 	queue     []job
 	head      int
-	maxQueue  int
 	cur       job
 	doneID    int32       // engine handler id for jobDone
 	funcs     []EventFunc // Register'd completion handlers, indexed by job.fn
@@ -76,9 +75,6 @@ func (r *Resource) push(j job) {
 		r.head = 0
 	}
 	r.queue = append(r.queue, j)
-	if n := len(r.queue) - r.head; n > r.maxQueue {
-		r.maxQueue = n
-	}
 	if !r.busy {
 		r.startNext()
 	}
@@ -113,15 +109,6 @@ func (r *Resource) jobDone(_, _ int32, _ float64) {
 	r.startNext()
 	r.funcs[j.fn](j.a, j.b, float64(j.hold))
 }
-
-// Busy reports whether a job currently occupies the resource.
-func (r *Resource) Busy() bool { return r.busy }
-
-// QueueLen reports the number of jobs waiting (not including the running one).
-func (r *Resource) QueueLen() int { return len(r.queue) - r.head }
-
-// MaxQueueLen reports the maximum backlog observed.
-func (r *Resource) MaxQueueLen() int { return r.maxQueue }
 
 // Served reports how many jobs have completed.
 func (r *Resource) Served() uint64 { return r.served }

@@ -60,33 +60,6 @@ func TestResourceUtilization(t *testing.T) {
 	}
 }
 
-func TestResourceBusyAndQueueLen(t *testing.T) {
-	e := New()
-	r := NewResource(e, "gpu")
-	noop := r.Register(func(_, _ int32, _ float64) {})
-	r.SubmitID(5, noop, 0, 0)
-	r.SubmitID(5, noop, 0, 0)
-	r.SubmitID(5, noop, 0, 0)
-	e.AtID(1, e.Register(func(_, _ int32, _ float64) {
-		if !r.Busy() {
-			t.Error("resource should be busy at t=1")
-		}
-		if r.QueueLen() != 2 {
-			t.Errorf("queue len = %d, want 2", r.QueueLen())
-		}
-	}), 0, 0, 0)
-	if err := e.Run(); err != nil {
-		t.Fatal(err)
-	}
-	if r.Busy() {
-		t.Error("resource should be idle after drain")
-	}
-	// The first job starts immediately, so at most two jobs ever wait.
-	if r.MaxQueueLen() != 2 {
-		t.Errorf("max queue len = %d, want 2", r.MaxQueueLen())
-	}
-}
-
 func TestResourceZeroDurationJob(t *testing.T) {
 	e := New()
 	r := NewResource(e, "gpu")

@@ -2,10 +2,8 @@ package train
 
 import (
 	"fmt"
-	"math"
 	"math/rand"
 
-	"hetpipe/internal/metrics"
 	"hetpipe/internal/tensor"
 )
 
@@ -78,25 +76,8 @@ func RunBSP(cfg BSPConfig) (*RunStats, error) {
 	sum := tensor.NewVector(len(w))
 	rng := rand.New(rand.NewSource(cfg.Seed))
 
-	stats := &RunStats{Accuracy: metrics.Series{Name: "accuracy"}, Loss: metrics.Series{Name: "loss"}}
+	stats := newRunStats()
 	now := 0.0
-
-	evaluate := func(t float64) bool {
-		acc := cfg.Task.Accuracy(w)
-		loss := cfg.Task.Loss(w)
-		stats.Accuracy.Append(t, acc)
-		stats.Loss.Append(t, loss)
-		stats.FinalAccuracy = acc
-		stats.FinalLoss = loss
-		hitAcc := cfg.TargetAccuracy > 0 && acc >= cfg.TargetAccuracy
-		hitLoss := cfg.TargetLoss > 0 && loss <= cfg.TargetLoss
-		if (hitAcc || hitLoss) && !stats.ReachedTarget {
-			stats.ReachedTarget = true
-			stats.TimeToTarget = t
-			return true
-		}
-		return false
-	}
 
 	for iter := 0; iter < cfg.MaxIterations; iter++ {
 		sum.Zero()
@@ -124,142 +105,11 @@ func RunBSP(cfg BSPConfig) (*RunStats, error) {
 		stats.Minibatches += n
 
 		if (iter+1)%cfg.EvalEvery == 0 {
-			if evaluate(now) {
+			if stats.evaluate(cfg.Task, w, now, cfg.TargetAccuracy, cfg.TargetLoss) {
 				break
 			}
 		}
 	}
-	stats.Elapsed = now
-	if len(stats.Accuracy.Points) == 0 || !stats.ReachedTarget {
-		evaluate(now)
-	}
+	stats.finish(cfg.Task, w, now, cfg.TargetAccuracy, cfg.TargetLoss)
 	return stats, nil
-}
-
-// SSPConfig parameterizes a Stale Synchronous Parallel baseline: N
-// single-GPU workers pushing every iteration, each allowed to lead the
-// slowest by at most Staleness clocks (Ho et al.).
-type SSPConfig struct {
-	Task      Task
-	Periods   []float64
-	Staleness int
-	LR        float64
-	// SyncTime is the per-iteration push+pull cost with the servers.
-	SyncTime float64
-	Jitter   float64
-	Seed     int64
-	// MaxIterations bounds each worker's iteration count.
-	MaxIterations  int
-	EvalEvery      int
-	TargetAccuracy float64
-}
-
-// RunSSP executes the SSP baseline with per-iteration pushes. Workers apply
-// updates to the shared weights in completion-time order and refresh their
-// local copy on every iteration; a worker blocks when it would exceed the
-// staleness bound over the slowest worker.
-func RunSSP(cfg SSPConfig) (*RunStats, error) {
-	switch {
-	case cfg.Task == nil:
-		return nil, fmt.Errorf("train: nil task")
-	case len(cfg.Periods) < 1:
-		return nil, fmt.Errorf("train: need at least one worker")
-	case cfg.Staleness < 0:
-		return nil, fmt.Errorf("train: negative staleness")
-	case cfg.LR <= 0:
-		return nil, fmt.Errorf("train: learning rate must be positive")
-	case cfg.MaxIterations < 1:
-		return nil, fmt.Errorf("train: zero iteration budget")
-	case cfg.EvalEvery < 1:
-		return nil, fmt.Errorf("train: EvalEvery must be >= 1")
-	}
-	n := len(cfg.Periods)
-	wglobal := cfg.Task.InitWeights()
-	grad := tensor.NewVector(len(wglobal))
-	rng := rand.New(rand.NewSource(cfg.Seed))
-
-	clock := make([]int, n)     // iterations completed per worker
-	tNext := make([]float64, n) // next completion time per worker
-	wlocal := make([]tensor.Vector, n)
-	for i := range wlocal {
-		wlocal[i] = wglobal.Clone()
-		tNext[i] = period(cfg.Periods[i], cfg.Jitter, rng) + cfg.SyncTime
-	}
-
-	stats := &RunStats{Accuracy: metrics.Series{Name: "accuracy"}, Loss: metrics.Series{Name: "loss"}}
-	now := 0.0
-	completions := 0
-
-	evaluate := func(t float64) bool {
-		acc := cfg.Task.Accuracy(wglobal)
-		stats.Accuracy.Append(t, acc)
-		stats.Loss.Append(t, cfg.Task.Loss(wglobal))
-		stats.FinalAccuracy = acc
-		if cfg.TargetAccuracy > 0 && acc >= cfg.TargetAccuracy && !stats.ReachedTarget {
-			stats.ReachedTarget = true
-			stats.TimeToTarget = t
-			return true
-		}
-		return false
-	}
-
-	minClock := func() int {
-		m := clock[0]
-		for _, c := range clock[1:] {
-			if c < m {
-				m = c
-			}
-		}
-		return m
-	}
-
-	for {
-		// Earliest eligible worker: staleness gate c - min <= s.
-		best, bestAt := -1, math.Inf(1)
-		for i := 0; i < n; i++ {
-			if clock[i] >= cfg.MaxIterations {
-				continue
-			}
-			if clock[i]-minClock() > cfg.Staleness {
-				continue // blocked; its wait accrues implicitly
-			}
-			if tNext[i] < bestAt {
-				best, bestAt = i, tNext[i]
-			}
-		}
-		if best < 0 {
-			// Either done, or every unfinished worker is blocked on one
-			// that already finished.
-			break
-		}
-		if bestAt > now {
-			now = bestAt
-		}
-		i := best
-		cfg.Task.Grad(wlocal[i], clock[i]*n+i, grad)
-		wglobal.AXPY(-cfg.LR, grad)
-		wlocal[i] = wglobal.Clone()
-		clock[i]++
-		completions++
-		stats.Minibatches++
-		tNext[i] = now + period(cfg.Periods[i], cfg.Jitter, rng) + cfg.SyncTime
-		if completions%cfg.EvalEvery == 0 {
-			if evaluate(now) {
-				break
-			}
-		}
-	}
-	stats.Elapsed = now
-	if len(stats.Accuracy.Points) == 0 || !stats.ReachedTarget {
-		evaluate(now)
-	}
-	stats.Pushes = completions // SSP pushes every minibatch
-	return stats, nil
-}
-
-func period(base, jitter float64, rng *rand.Rand) float64 {
-	if jitter <= 0 {
-		return base
-	}
-	return base * (1 + jitter*(2*rng.Float64()-1))
 }

@@ -105,6 +105,40 @@ type RunStats struct {
 	MaxClockDistance int
 }
 
+func newRunStats() *RunStats {
+	return &RunStats{Accuracy: metrics.Series{Name: "accuracy"}, Loss: metrics.Series{Name: "loss"}}
+}
+
+// evaluate appends the accuracy and loss of weights w at simulated time t and
+// reports whether this is the first evaluation to meet a target (a zero
+// target is disabled).
+func (s *RunStats) evaluate(task Task, w tensor.Vector, t, targetAcc, targetLoss float64) bool {
+	acc := task.Accuracy(w)
+	loss := task.Loss(w)
+	s.Accuracy.Append(t, acc)
+	s.Loss.Append(t, loss)
+	s.FinalAccuracy = acc
+	s.FinalLoss = loss
+	hitAcc := targetAcc > 0 && acc >= targetAcc
+	hitLoss := targetLoss > 0 && loss <= targetLoss
+	if (hitAcc || hitLoss) && !s.ReachedTarget {
+		s.ReachedTarget = true
+		s.TimeToTarget = t
+		return true
+	}
+	return false
+}
+
+// finish ends a run at simulated time now with a final evaluation, unless one
+// already ran at exactly this time, which would duplicate the curve's last
+// point.
+func (s *RunStats) finish(task Task, w tensor.Vector, now, targetAcc, targetLoss float64) {
+	s.Elapsed = now
+	if last, ok := s.Accuracy.Last(); !ok || last.T != now {
+		s.evaluate(task, w, now, targetAcc, targetLoss)
+	}
+}
+
 // snapshot is an in-flight minibatch's timing: its scheduled completion.
 type snapshot struct {
 	mb       int
@@ -243,26 +277,9 @@ func RunWSP(cfg WSPConfig) (*RunStats, error) {
 	pushVisible := []float64{0}
 	pushArrive := make([][]float64, cfg.Workers)
 
-	stats := &RunStats{Accuracy: metrics.Series{Name: "accuracy"}, Loss: metrics.Series{Name: "loss"}}
+	stats := newRunStats()
 	completionsSinceEval := 0
 	now := 0.0
-
-	evaluate := func(t float64) bool {
-		acc := cfg.Task.Accuracy(wglobal)
-		loss := cfg.Task.Loss(wglobal)
-		stats.Accuracy.Append(t, acc)
-		stats.Loss.Append(t, loss)
-		stats.FinalAccuracy = acc
-		stats.FinalLoss = loss
-		hitAcc := cfg.TargetAccuracy > 0 && acc >= cfg.TargetAccuracy
-		hitLoss := cfg.TargetLoss > 0 && loss <= cfg.TargetLoss
-		if (hitAcc || hitLoss) && !stats.ReachedTarget {
-			stats.ReachedTarget = true
-			stats.TimeToTarget = t
-			return true
-		}
-		return false
-	}
 
 	// retire folds the oldest pending minibatch's gradient into the local
 	// weights; at a wave end it also seals the wave's aggregated delta (the
@@ -433,18 +450,13 @@ func RunWSP(cfg WSPConfig) (*RunStats, error) {
 
 		if completionsSinceEval >= cfg.EvalEvery {
 			completionsSinceEval = 0
-			if evaluate(now) {
+			if stats.evaluate(cfg.Task, wglobal, now, cfg.TargetAccuracy, cfg.TargetLoss) {
 				break
 			}
 		}
 	}
 
-	stats.Elapsed = now
-	// Final evaluation — unless one already ran at exactly this time, which
-	// would duplicate the curve's last point.
-	if last, ok := stats.Accuracy.Last(); !ok || last.T != now {
-		evaluate(now)
-	}
+	stats.finish(cfg.Task, wglobal, now, cfg.TargetAccuracy, cfg.TargetLoss)
 	// FinalWeights carries the same pushed-update set as wglobal, but folded
 	// in (wave, worker) order — the order the parameter servers' snapshots
 	// use — so the value is bit-stable across timing configurations and

@@ -293,7 +293,7 @@ func TestWSPNumericsIndependentOfTiming(t *testing.T) {
 
 func TestNoDuplicateFinalEvalPoint(t *testing.T) {
 	// Regression: when the last scheduled evaluation already ran at the final
-	// simulated time, RunWSP appended a second, identical point.
+	// simulated time, RunWSP and RunBSP appended a second, identical point.
 	lt := task(t)
 	stats, err := RunWSP(WSPConfig{
 		Task: lt, Workers: 2, SLocal: 1, D: 0, LR: 0.2,
@@ -304,7 +304,27 @@ func TestNoDuplicateFinalEvalPoint(t *testing.T) {
 		t.Fatal(err)
 	}
 	if got, want := len(stats.Accuracy.Points), stats.Minibatches; got != want {
-		t.Errorf("eval points = %d, want %d (one per completion, no duplicate tail)", got, want)
+		t.Errorf("WSP eval points = %d, want %d (one per completion, no duplicate tail)", got, want)
+	}
+
+	bsp, err := RunBSP(BSPConfig{
+		Task: lt, Periods: []float64{0.1, 0.1}, AllReduceTime: 0.01,
+		LR: 0.2, Seed: 3, MaxIterations: 8, EvalEvery: 1,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	pts := bsp.Accuracy.Points
+	if got, want := len(pts), 8; got != want {
+		t.Errorf("BSP eval points = %d, want %d (one per iteration, no duplicate tail)", got, want)
+	}
+	for i := 1; i < len(pts); i++ {
+		if pts[i].T == pts[i-1].T {
+			t.Fatalf("BSP eval points %d and %d share T = %g", i-1, i, pts[i].T)
+		}
+	}
+	if last := pts[len(pts)-1].T; last != bsp.Elapsed {
+		t.Errorf("BSP last eval at %g, want Elapsed %g", last, bsp.Elapsed)
 	}
 }
 
@@ -365,31 +385,6 @@ func TestBSPStragglerSlowsWallClock(t *testing.T) {
 	}
 }
 
-func TestSSPConvergesAndOutpacesBSPWithStraggler(t *testing.T) {
-	lt := task(t)
-	periods := []float64{0.1, 0.1, 0.1, 0.25}
-	bsp, err := RunBSP(BSPConfig{
-		Task: lt, Periods: periods, AllReduceTime: 0.01, LR: 0.2, Seed: 6,
-		MaxIterations: 200, EvalEvery: 40, TargetAccuracy: 0.8,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	ssp, err := RunSSP(SSPConfig{
-		Task: lt, Periods: periods, Staleness: 3, SyncTime: 0.01, LR: 0.2, Seed: 6,
-		MaxIterations: 200, EvalEvery: 40, TargetAccuracy: 0.8,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !ssp.ReachedTarget {
-		t.Fatalf("SSP did not reach target (final %.3f)", ssp.FinalAccuracy)
-	}
-	if bsp.ReachedTarget && ssp.TimeToTarget >= bsp.TimeToTarget {
-		t.Errorf("SSP (%.1fs) not faster than BSP (%.1fs) under straggler", ssp.TimeToTarget, bsp.TimeToTarget)
-	}
-}
-
 func TestConfigValidation(t *testing.T) {
 	lt := task(t)
 	bad := []WSPConfig{
@@ -410,9 +405,6 @@ func TestConfigValidation(t *testing.T) {
 	}
 	if _, err := RunBSP(BSPConfig{Task: lt, Periods: []float64{1}, LR: 0.1, MaxIterations: 1, EvalEvery: 1, AllReduceTime: -1}); err == nil {
 		t.Error("negative all-reduce time accepted")
-	}
-	if _, err := RunSSP(SSPConfig{Task: lt, Periods: []float64{1}, Staleness: -1, LR: 0.1, MaxIterations: 1, EvalEvery: 1}); err == nil {
-		t.Error("negative staleness accepted")
 	}
 }
 

@@ -31,7 +31,7 @@ const (
 	EventArrive
 	// EventAdmit fires when the serving admission layer coalesces queued
 	// requests into a microbatch; Event.Batch is the replica-local batch
-	// sequence and Event.Request the number of requests coalesced.
+	// sequence and Event.Requests the number of requests coalesced.
 	EventAdmit
 	// EventReply fires when a serving request's microbatch completes the
 	// pipeline; Event.Request is the request id and Event.Batch its batch.
@@ -87,9 +87,11 @@ type Event struct {
 	// Fault names the injected fault for EventFaultInject and EventRecover,
 	// in the WithFaults spec language (e.g. "crash:w2:mb40").
 	Fault string
-	// Request is the 0-based serving request id (EventArrive, EventReply);
-	// for EventAdmit it carries the number of requests coalesced instead.
+	// Request is the 0-based serving request id (EventArrive, EventReply).
 	Request int
+	// Requests is the number of requests coalesced into the microbatch
+	// (EventAdmit).
+	Requests int
 	// Batch is the replica-local 1-based microbatch sequence number
 	// (EventAdmit, EventReply, and Serve-side EventRecover).
 	Batch int
@@ -145,6 +147,7 @@ func (s *settings) obsFunc() obs.Func {
 			Time:      e.Time,
 			Fault:     e.Fault,
 			Request:   e.Request,
+			Requests:  e.Requests,
 			Batch:     e.Batch,
 		})
 	}
